@@ -18,7 +18,7 @@ func TestFaultsFlagValidation(t *testing.T) {
 		{[]string{"-faults", "get.err=1", "-nocache", "-cachedir", t.TempDir(), "-quick", "run", "fig4"}, "requires -cachedir"},
 		{[]string{"-faults", "get.err=2", "-cachedir", t.TempDir(), "serve"}, "[0,1]"},
 		{[]string{"-faults", "get.err=1", "serve"}, "requires -cachedir"},
-		{[]string{"sweep", "-faults", "put.err=1"}, "requires -cachedir"},
+		{[]string{"sweep", "-faults", "put.err=1"}, "flag provided but not defined: -faults"},
 	}
 	for _, c := range cases {
 		var out, errOut bytes.Buffer
@@ -61,19 +61,21 @@ func TestFaultsNeverAlterOutput(t *testing.T) {
 	}
 }
 
-// TestFaultsWarmReplayAcrossRuns: with faults injected into one process
-// and not the next, the second still warm-replays whatever survived —
-// and a corrupting first process must not poison it.
+// TestFaultsCorruptedCacheSelfHealsAcrossRuns: a process that corrupts
+// every entry it writes must not poison the next one. The corruption
+// flips single bits (which can land inside a string or float and still
+// decode) or truncates; either way the replay must read each damaged
+// entry as a dropped miss and render exactly the bytes of the first run.
 func TestFaultsCorruptedCacheSelfHealsAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	var first, firstErr bytes.Buffer
-	if code := run([]string{"-quick", "-cachedir", dir, "-faults", "put.corrupt=1", "run", "fig4"}, &first, &firstErr); code != 0 {
+	if code := run([]string{"-quick", "-cachedir", dir, "-faults", "put.corrupt=1", "run", "all"}, &first, &firstErr); code != 0 {
 		t.Fatalf("corrupting run exit %d: %s", code, firstErr.String())
 	}
 	// Second process, no injection: corrupted entries read as dropped
 	// misses and the output is still byte-identical.
 	var second, secondErr bytes.Buffer
-	if code := run([]string{"-quick", "-cachedir", dir, "run", "fig4"}, &second, &secondErr); code != 0 {
+	if code := run([]string{"-quick", "-cachedir", dir, "run", "all"}, &second, &secondErr); code != 0 {
 		t.Fatalf("clean run over corrupted cache exit %d: %s", code, secondErr.String())
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {

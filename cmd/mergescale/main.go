@@ -5,27 +5,26 @@
 //	mergescale -list
 //	mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration]
 //	           [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D]
-//	           [-pinfile FILE] [-nocache] [-faults SPEC] [-stats]
+//	           [-nocache] [-faults SPEC] [-stats]
 //	           run <experiment-id>|all
 //	mergescale [-quick] [-duration] [-workers N] [-cachedir DIR]
-//	           [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve
+//	           [-cachettl D] [-nocache] [-faults SPEC] serve
 //	           [-addr HOST:PORT] [-ratelimit N] [-rateburst N]
 //	           [-maxstreams N] [-reqtimeout D] [-draintimeout D]
-//	mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N]
-//	           [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE]
-//	           [-faults SPEC] [-stats] [-timing]
+//	mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]
 //	mergescale load -url URL [-profile P] [-targets IDS] [-formats F]
 //	           [-concurrency N] [-requests N | -for D] [-rate R] [-seed N]
 //	           [-alpha A] [-burstsize N] [-burstgap D] [-sweepgrid FILE]
 //	           [-retries N] [-retrybase D] [-out FILE]
 //
 // Experiment ids follow the paper's artifact numbering (table1..table4,
-// fig2a..fig7) plus the abl-* ablations; see DESIGN.md for the index.
+// fig2a..fig7) plus the abl-* ablations; -list prints the index.
 //
 // Experiments execute concurrently on the engine worker pool (one job per
-// artifact; design-space sweeps and per-core simulator runs shard into
-// sub-jobs), but the output is always rendered in registry order, so a
-// parallel run is byte-identical to -workers 1. -simworkers additionally
+// artifact; per-core simulator runs shard into sub-jobs, while analytic
+// design-space sweeps are plain function calls), but the output is always
+// rendered in registry order, so a parallel run is byte-identical to
+// -workers 1. -simworkers additionally
 // shards each simulator run across goroutines; the sharded simulator is
 // bit-identical to the serial reference, so this too changes no output
 // byte (and no cache key).
@@ -53,9 +52,10 @@
 // The sweep subcommand evaluates a parametric design-space grid (a JSON
 // description of apps × budgets × r values — the exact POST /sweep
 // request body) and streams the rendered tables element-granularly: each
-// grid point is one engine job under a canonical normalized key, and its
-// table row flushes the moment the job resolves. The bytes are identical
-// to the POST /sweep response for the same grid and format.
+// grid point is evaluated in plan order and its table row flushes as soon
+// as it is computed. Points never touch the engine or the disk cache. The
+// bytes are identical to the POST /sweep response for the same grid and
+// format.
 //
 // The load subcommand is the trace-driven load harness (internal/load):
 // it replays a deterministic request trace (uniform, power-law, or burst)
@@ -64,7 +64,7 @@
 // committed BENCH_serve.json. -retries arms exponential-backoff retry of
 // retryable failures (429/503/5xx/transport), honoring Retry-After.
 //
-// -faults SPEC (run, serve, sweep; requires -cachedir) arms the
+// -faults SPEC (run, serve; requires -cachedir) arms the
 // deterministic fault injector over the disk store — see internal/faults
 // for the grammar (e.g. "seed=7,get.err=0.01,put.enospc=1/50"). The
 // engine reads the store through a circuit breaker either way: enough
@@ -118,13 +118,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		simwork   = fs.Int("simworkers", 1, "intra-run simulator worker goroutines (1 = serial reference; results are bit-identical at any setting)")
 		cachedir  = fs.String("cachedir", "", "persist engine results to this directory across runs")
 		cachettl  = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
-		pinfile   = fs.String("pinfile", "", "persist the disk cache's pin set to this file across restarts (requires -cachedir)")
 		nocache   = fs.Bool("nocache", false, "disable the engine result cache (memory and disk)")
 		faultSpec = fs.String("faults", "", "inject deterministic disk-store faults per this spec, e.g. seed=7,get.err=0.01 (requires -cachedir; see internal/faults)")
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration] [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-pinfile FILE] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-pinfile FILE] [-faults SPEC] [-stats] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration] [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -148,10 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *cachettl < 0 {
 		fmt.Fprintf(stderr, "mergescale: -cachettl must be >= 0 (got %s)\n", *cachettl)
-		return 2
-	}
-	if *pinfile != "" && *cachedir == "" {
-		fmt.Fprintf(stderr, "mergescale: -pinfile requires -cachedir (pins index disk-cache entries)\n")
 		return 2
 	}
 	spec, err := faults.ParseSpec(*faultSpec)
@@ -189,9 +184,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runLoad(rest[1:], stdout, stderr)
 	}
 	if len(rest) >= 1 && rest[0] == "sweep" {
-		// sweep owns its whole flag surface (it re-declares the cache and
-		// rendering flags it honors), so a global flag before the
-		// subcommand is a mistake, same as load.
+		// sweep owns its whole flag surface (it re-declares the rendering
+		// flags it honors), so a global flag before the subcommand is a
+		// mistake, same as load.
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			if conflict == "" {
@@ -227,7 +222,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			workers:  *workers,
 			cachedir: *cachedir,
 			cachettl: *cachettl,
-			pinfile:  *pinfile,
 			nocache:  *nocache,
 			faults:   spec,
 		}, stderr)
@@ -295,7 +289,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var chain storeChain
 	if *cachedir != "" && !*nocache {
 		chain = openStoreChain(*cachedir,
-			diskcache.Options{TTL: *cachettl, PinFile: *pinfile, Log: log.New(stderr, "mergescale: ", 0)},
+			diskcache.Options{TTL: *cachettl, Log: log.New(stderr, "mergescale: ", 0)},
 			spec, stderr)
 		cfg.Store = chain.store()
 	}
@@ -404,7 +398,6 @@ type serveConfig struct {
 	workers  int
 	cachedir string
 	cachettl time.Duration
-	pinfile  string
 	nocache  bool
 	faults   faults.Spec
 }
@@ -421,7 +414,6 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 	ratelimit := fs.Float64("ratelimit", 0, "per-client request rate limit in req/s; over-limit requests get 429 (0 = off)")
 	rateburst := fs.Int("rateburst", 0, "rate-limiter burst size (0 = ceil(ratelimit), min 1)")
 	maxstreams := fs.Int("maxstreams", 0, "max concurrently executing /run streams; excess requests get 503 (0 = unlimited)")
-	pincap := fs.Int("pincap", 0, "max disk-cache keys sweep clients may pin in aggregate; 0 ignores \"pin\":true requests")
 	reqtimeout := fs.Duration("reqtimeout", 0, "per-request deadline for /run and /sweep; expiry gets 503 before the first byte, a chunked abort after (0 = none)")
 	draintimeout := fs.Duration("draintimeout", serve.DefaultDrainTimeout, "graceful-shutdown bound: how long in-flight responses get to flush after SIGINT/SIGTERM")
 	if err := fs.Parse(args); err != nil {
@@ -434,8 +426,8 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mergescale serve: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	if *ratelimit < 0 || *rateburst < 0 || *maxstreams < 0 || *pincap < 0 {
-		fmt.Fprintf(stderr, "mergescale serve: -ratelimit, -rateburst, -maxstreams and -pincap must be >= 0\n")
+	if *ratelimit < 0 || *rateburst < 0 || *maxstreams < 0 {
+		fmt.Fprintf(stderr, "mergescale serve: -ratelimit, -rateburst and -maxstreams must be >= 0\n")
 		return 2
 	}
 	if *reqtimeout < 0 || *draintimeout <= 0 {
@@ -448,7 +440,7 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 	var chain storeChain
 	if cfg.cachedir != "" && !cfg.nocache {
 		chain = openStoreChain(cfg.cachedir,
-			diskcache.Options{TTL: cfg.cachettl, PinFile: cfg.pinfile, Log: logger},
+			diskcache.Options{TTL: cfg.cachettl, Log: logger},
 			cfg.faults, stderr)
 		engCfg.Store = chain.store()
 	}
@@ -462,7 +454,6 @@ func runServe(args []string, cfg serveConfig, stderr io.Writer) int {
 		RateLimit:    *ratelimit,
 		RateBurst:    *rateburst,
 		MaxStreams:   *maxstreams,
-		PinCap:       *pincap,
 		ReqTimeout:   *reqtimeout,
 		DrainTimeout: *draintimeout,
 	}
@@ -493,8 +484,8 @@ func printStats(stderr io.Writer, eng *engine.Engine, chain storeChain) {
 	ds := chain.disk.Stats()
 	entries, bytes := chain.disk.Size()
 	errs := ""
-	if ds.WriteErrs > 0 || ds.PinSaveErrs > 0 {
-		errs = fmt.Sprintf(", %d write errors, %d pin-save errors", ds.WriteErrs, ds.PinSaveErrs)
+	if ds.WriteErrs > 0 {
+		errs = fmt.Sprintf(", %d write errors", ds.WriteErrs)
 	}
 	fmt.Fprintf(stderr, "disk: %d hits / %d misses, %d writes (%d skipped)%s, %d evictions, %d expired, %d dropped, %d entries / %d bytes in %s\n",
 		st.StoreHits, st.StoreMisses, ds.Puts, ds.PutSkips, errs, ds.Evictions, ds.Expired, ds.Dropped, entries, bytes, chain.disk.Dir())

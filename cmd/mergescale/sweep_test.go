@@ -21,44 +21,54 @@ func writeGrid(t *testing.T, grid string) string {
 }
 
 // TestSweepRendersGrid: the subcommand renders a grid file to stdout with
-// one table per (app, budget) group and deterministic bytes across
-// worker counts.
+// one table per (app, budget) group and deterministic bytes across runs.
 func TestSweepRendersGrid(t *testing.T) {
 	grid := writeGrid(t, testSweepGrid)
-	var serial, parallel, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", grid, "-workers", "1"}, &serial, &errOut); code != 0 {
+	var first, second, errOut bytes.Buffer
+	if code := run([]string{"sweep", "-grid", grid}, &first, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if code := run([]string{"sweep", "-grid", grid, "-workers", "8"}, &parallel, &errOut); code != 0 {
+	if code := run([]string{"sweep", "-grid", grid}, &second, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if serial.Len() == 0 {
+	if first.Len() == 0 {
 		t.Fatal("sweep rendered nothing")
 	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Fatal("sweep output differs across worker counts")
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("sweep output differs across runs")
 	}
 	for _, want := range []string{"Design-space sweep", "N=64", "N=256", "peak"} {
-		if !strings.Contains(serial.String(), want) {
+		if !strings.Contains(first.String(), want) {
 			t.Errorf("output lacks %q", want)
 		}
 	}
 }
 
 // TestSweepBadGridFails: a malformed grid is a usage error (exit 2) with
-// a one-line reason, and -out is never touched.
+// a one-line reason, and -out is never touched. The retired "pin" field is
+// an unknown field, named in the reason exactly as POST /sweep's 400
+// names it.
 func TestSweepBadGridFails(t *testing.T) {
-	grid := writeGrid(t, `{"apps":[],"budgets":[64]}`)
-	out := filepath.Join(t.TempDir(), "report.txt")
-	if err := os.WriteFile(out, []byte("precious"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", grid, "-out", out}, &stdout, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2 (stderr %q)", code, errOut.String())
-	}
-	if data, err := os.ReadFile(out); err != nil || string(data) != "precious" {
-		t.Fatalf("bad grid clobbered -out file: %q, %v", data, err)
+	for _, tc := range []struct{ grid, want string }{
+		{`{"apps":[],"budgets":[64]}`, "at least one app"},
+		{`{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2,4],"pin":true}`, `unknown field "pin"`},
+	} {
+		grid := writeGrid(t, tc.grid)
+		out := filepath.Join(t.TempDir(), "report.txt")
+		if err := os.WriteFile(out, []byte("precious"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, errOut bytes.Buffer
+		if code := run([]string{"sweep", "-grid", grid, "-out", out}, &stdout, &errOut); code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (stderr %q)", tc.grid, code, errOut.String())
+		}
+		if data, err := os.ReadFile(out); err != nil || string(data) != "precious" {
+			t.Fatalf("%s: bad grid clobbered -out file: %q, %v", tc.grid, data, err)
+		}
+		msg := strings.TrimRight(errOut.String(), "\n")
+		if strings.Contains(msg, "\n") || !strings.Contains(msg, tc.want) {
+			t.Fatalf("%s: stderr %q, want one line mentioning %q", tc.grid, errOut.String(), tc.want)
+		}
 	}
 }
 
@@ -85,27 +95,6 @@ func TestSweepTimingGoesToStderr(t *testing.T) {
 	}
 }
 
-// TestSweepWarmDiskCache: a second run against the same cache dir replays
-// every point from disk (0 executed) with identical bytes.
-func TestSweepWarmDiskCache(t *testing.T) {
-	grid := writeGrid(t, testSweepGrid)
-	dir := t.TempDir()
-	var cold, warm, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", grid, "-cachedir", dir}, &cold, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	errOut.Reset()
-	if code := run([]string{"sweep", "-grid", grid, "-cachedir", dir, "-stats"}, &warm, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Fatal("warm sweep rendered different bytes")
-	}
-	if !strings.Contains(errOut.String(), "0 executed") {
-		t.Fatalf("warm sweep executed jobs: %s", errOut.String())
-	}
-}
-
 // TestSweepRejectsGlobalFlags: like load, sweep owns its flag surface —
 // a global flag before the subcommand is refused, not silently ignored.
 func TestSweepRejectsGlobalFlags(t *testing.T) {
@@ -118,15 +107,30 @@ func TestSweepRejectsGlobalFlags(t *testing.T) {
 	}
 }
 
-// TestSweepPinfileRequiresCachedir: a pin file without a disk cache has
-// nothing to index.
-func TestSweepPinfileRequiresCachedir(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"sweep", "-grid", "x", "-pinfile", "p"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	errOut.Reset()
-	if code := run([]string{"-pinfile", "p", "run", "fig4"}, &out, &errOut); code != 2 {
-		t.Fatalf("global -pinfile without -cachedir: exit %d, want 2", code)
+// TestSweepRetiredFlagsUnknown: sweep points are evaluated off the engine
+// and the disk cache, so the engine, cache, pin and fault flags are gone
+// from the subcommand — and -pinfile from the global set. Each is an
+// unknown-flag usage error, not a silently ignored setting.
+func TestSweepRetiredFlagsUnknown(t *testing.T) {
+	grid := writeGrid(t, testSweepGrid)
+	for _, args := range [][]string{
+		{"sweep", "-grid", grid, "-workers", "2"},
+		{"sweep", "-grid", grid, "-cachedir", t.TempDir()},
+		{"sweep", "-grid", grid, "-cachettl", "1h"},
+		{"sweep", "-grid", grid, "-nocache"},
+		{"sweep", "-grid", grid, "-pinfile", "p"},
+		{"sweep", "-grid", grid, "-faults", "put.err=1"},
+		{"sweep", "-grid", grid, "-stats"},
+		{"-pinfile", "p", "run", "fig4"},
+		{"-cachedir", t.TempDir(), "serve", "-pincap", "8"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+			continue
+		}
+		if !strings.Contains(errOut.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr %q, want an unknown-flag error", args, errOut.String())
+		}
 	}
 }

@@ -1,27 +1,17 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 
 	"mergescale/internal/core"
-	"mergescale/internal/engine"
 )
 
-// ExampleSweepSymmetricEngine shards a symmetric-CMP design-space sweep
-// into one engine job per grid point. The engine-backed sweep returns
-// exactly what the serial SweepSymmetric reference returns — points in
-// grid order — while fanning the evaluations across the worker pool and
-// caching repeated design points.
-func ExampleSweepSymmetricEngine() {
+// ExampleSweepSymmetric evaluates the extended symmetric-CMP model over a
+// per-core-size grid. The model is closed-form arithmetic, so a sweep is
+// a plain function call returning the valid design points in grid order.
+func ExampleSweepSymmetric() {
 	app := core.AppParams{Name: "class", F: 0.99, FCon: 0.60, FOred: 0.80, Growth: core.GrowthLinear}
-	eng := engine.New(engine.Config{Workers: 4})
-	pts, err := core.SweepSymmetricEngine(context.Background(), eng, app, core.DefaultBudget, []float64{1, 4, 16, 64})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	for _, p := range pts {
+	for _, p := range core.SweepSymmetric(app, core.DefaultBudget, []float64{1, 4, 16, 64}) {
 		fmt.Printf("r=%-3.0f speedup=%.1f\n", p.R, p.Speedup)
 	}
 	// Output:

@@ -2,12 +2,12 @@ package core
 
 import "strconv"
 
-// This file implements engine.KeyAppender for every core type that flows
-// into engine cache keys (the sweep key functions in sweep_parallel.go),
-// replacing fmt %#v reflection on the sweep hot path. Each AppendKey MUST
-// produce bytes identical to fmt.Sprintf("%#v", v) — the differential
-// tests in keyappend_test.go lock the equivalence — because the bytes are
-// hashed into persistent disk-cache keys.
+// This file implements engine.KeyAppender for the core types that flow
+// into cache keys (the experiment config fingerprint and the /sweep plan
+// fingerprint), replacing fmt %#v reflection. Each AppendKey MUST produce
+// bytes identical to fmt.Sprintf("%#v", v) — the differential tests in
+// keyappend_test.go lock the equivalence — because the experiment keys
+// are persistent disk-cache keys.
 
 // AppendKey appends the Go-syntax rendering of the parameters.
 func (a AppParams) AppendKey(b []byte) []byte {
@@ -28,22 +28,5 @@ func (a AppParams) AppendKey(b []byte) []byte {
 func (bgt Budget) AppendKey(b []byte) []byte {
 	b = append(b, "core.Budget{N:"...)
 	b = strconv.AppendInt(b, int64(bgt.N), 10)
-	return append(b, '}')
-}
-
-// AppendKey appends the Go-syntax rendering of the model. The embedded
-// AppParams renders exactly as its own AppendKey (%#v nests struct values
-// in full Go syntax).
-func (m CommModel) AppendKey(b []byte) []byte {
-	b = append(b, "core.CommModel{App:"...)
-	b = m.App.AppendKey(b)
-	b = append(b, ", Impl:"...)
-	b = strconv.AppendInt(b, int64(m.Impl), 10)
-	b = append(b, ", Network:"...)
-	b = strconv.AppendInt(b, int64(m.Network), 10)
-	b = append(b, ", Elements:"...)
-	b = strconv.AppendInt(b, int64(m.Elements), 10)
-	b = append(b, ", Exact:"...)
-	b = strconv.AppendBool(b, m.Exact)
 	return append(b, '}')
 }

@@ -5,41 +5,44 @@
 //
 // Entry format. Each entry is one file named after the FNV-1a hash of its
 // key, holding a gob stream of a versioned envelope {Version, Key,
-// WrittenAt, Value}. Value is an interface; every concrete type that flows
+// WrittenAt, Value} followed by a 4-byte big-endian CRC-32C (Castagnoli)
+// of that stream. Value is an interface; every concrete type that flows
 // through the store must be gob.Register-ed by the package that produces it
 // (experiments registers *report.Document, report registers Element,
-// workload registers SimRun, core registers its sweep evaluations). Bump
-// envelopeVersion whenever the envelope layout or the meaning of cached
-// values changes: readers treat any other version as a miss and drop the
-// file, so stale caches self-heal instead of poisoning new binaries.
+// workload registers SimRun). Bump envelopeVersion whenever the envelope
+// layout or the meaning of cached values changes: readers treat any other
+// version as a miss and drop the file, so stale caches self-heal instead
+// of poisoning new binaries.
 //
 // Failure model. The store is strictly best-effort and must never fail a
 // job: corrupt, truncated, stale-version, or key-mismatched entries are
 // misses (and are unlinked so the slot is rewritten); unencodable values
-// are skipped on Put. Writes go to a temp file in the cache directory and
-// are renamed into place, so concurrent processes sharing one directory
-// see either the old entry or the complete new one, never a torn write.
+// are skipped on Put. The checksum is what makes "corrupt" detectable: a
+// flipped bit inside a string or float still decodes as valid gob, so
+// without it a damaged entry would replay as a silently different value.
+// Writes go to a temp file in the cache directory and are renamed into
+// place, so concurrent processes sharing one directory see either the old
+// entry or the complete new one, never a torn write.
 //
 // Capacity. The store keeps the total entry size under a byte cap
 // (Options.MaxBytes, default DefaultMaxBytes), evicting the
 // least-recently-used entries (by file mtime, which Get refreshes) after
 // each write. The cap is enforced per process: concurrent writers may
-// transiently overshoot, which the next Put repairs. Pin exempts
-// individual keys from eviction.
+// transiently overshoot, which the next Put repairs.
 //
 // Expiry. Options.TTL bounds entry lifetime from write time (WrittenAt in
 // the envelope, so LRU recency bumps never extend a lifetime); zero means
 // entries never expire. An expired entry reads as a miss and is unlinked —
-// the slot self-heals on the next Put. Expiry applies to pinned entries
-// too: Pin only shields an entry from LRU eviction, so an expired-but-
-// pinned entry survives capacity pressure until its key is recomputed and
-// rewritten in place.
+// the slot self-heals on the next Put.
 package diskcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"log"
 	"os"
@@ -52,9 +55,9 @@ import (
 
 const (
 	// envelopeVersion tags every entry file; see the package comment for
-	// when to bump it. v2 added WrittenAt (per-entry TTL support), so v1
-	// caches drain automatically.
-	envelopeVersion = 2
+	// when to bump it. v2 added WrittenAt (per-entry TTL support); v3 added
+	// the CRC-32C trailer. Older caches drain automatically.
+	envelopeVersion = 3
 	// suffix marks entry files; anything else in the directory is ignored.
 	suffix = ".gob"
 	// tmpPrefix/tmpSuffix mark in-flight Put temp files. Open sweeps ones
@@ -78,6 +81,38 @@ type envelope struct {
 	Value     any
 }
 
+// castagnoli is the CRC-32C table for the entry trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeEnvelope renders env as entry-file bytes: the gob stream plus its
+// CRC-32C trailer.
+func encodeEnvelope(env envelope) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+		return nil, err
+	}
+	return binary.BigEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), castagnoli)), nil
+}
+
+// errChecksum reports entry bytes whose trailer does not match.
+var errChecksum = errors.New("diskcache: entry checksum mismatch")
+
+// decodeEnvelope verifies the trailer of entry-file bytes, then decodes
+// the envelope. Any damage — a flipped bit anywhere, a truncation — fails
+// the checksum before gob sees a byte.
+func decodeEnvelope(data []byte) (envelope, error) {
+	var env envelope
+	if len(data) < crc32.Size {
+		return env, errChecksum
+	}
+	body := data[:len(data)-crc32.Size]
+	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(data[len(body):]) {
+		return env, errChecksum
+	}
+	err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env)
+	return env, err
+}
+
 // Options tunes Open.
 type Options struct {
 	// MaxBytes caps the total size of entry files; <= 0 selects
@@ -87,20 +122,11 @@ type Options struct {
 	// default) never expires. Expired entries read as misses and are
 	// unlinked so the slot self-heals on the next Put.
 	TTL time.Duration
-	// PinFile, when non-empty, makes the pin set survive restarts: Open
-	// re-pins every key listed in the file, and Pin/Unpin rewrite it
-	// atomically (temp+rename, keys sorted, one key per line; blank lines
-	// and lines starting with '#' are ignored). Keys containing a newline
-	// cannot be represented and are pinned in memory only — engine keys
-	// (16 hex digits) are always representable. The file lives wherever
-	// the path points, typically next to the cache directory, so several
-	// stores may share a directory while keeping distinct pin sets.
-	PinFile string
 	// Log, when non-nil, receives one line the first time each failure
-	// kind occurs (envelope write, pin-file save, unencodable value) —
-	// once per kind, not per operation, so a dead disk degrades quietly
-	// instead of flooding stderr at request rate. The counters in Stats
-	// carry the ongoing tally.
+	// kind occurs (envelope write, unencodable value) — once per kind,
+	// not per operation, so a dead disk degrades quietly instead of
+	// flooding stderr at request rate. The counters in Stats carry the
+	// ongoing tally.
 	Log *log.Logger
 	// Hooks, when set, intercept entry-file I/O. They exist for
 	// deterministic fault injection (internal/faults wires them) and are
@@ -128,13 +154,12 @@ type Hooks struct {
 // engine.Stats (StoreHits/StoreMisses); these are the store's own write-
 // and health-side counters.
 type Stats struct {
-	Puts        uint64 // entries written
-	PutSkips    uint64 // writes skipped (unencodable value — a value problem, not a store fault)
-	WriteErrs   uint64 // envelope writes that failed on file I/O (temp create/write/close/rename)
-	PinSaveErrs uint64 // pin-file rewrites that failed on file I/O (in-memory pins kept)
-	Evictions   uint64 // entries removed to stay under the byte cap
-	Expired     uint64 // entries past their TTL removed by Get
-	Dropped     uint64 // corrupt/stale/mismatched entries removed by Get
+	Puts      uint64 // entries written
+	PutSkips  uint64 // writes skipped (unencodable value — a value problem, not a store fault)
+	WriteErrs uint64 // envelope writes that failed on file I/O (temp create/write/close/rename)
+	Evictions uint64 // entries removed to stay under the byte cap
+	Expired   uint64 // entries past their TTL removed by Get
+	Dropped   uint64 // corrupt/stale/mismatched entries removed by Get
 }
 
 // entry is the in-memory index record for one entry file.
@@ -157,24 +182,11 @@ type Store struct {
 	// count.
 	logEncodeOnce sync.Once
 	logWriteOnce  sync.Once
-	logPinOnce    sync.Once
 
 	mu      sync.Mutex
 	entries map[string]entry // file name -> info
-	pinned  map[string]bool  // file names exempt from LRU eviction
-	pinKeys map[string]bool  // original key strings, for pin-file rewrite
-	pinFile string           // "" = pin set is process-local
-	pinGen  uint64           // bumped (under mu) on every pin-set change
 	total   int64
 	stats   Stats
-
-	// pinSaveMu serializes pin-file writes, which happen outside mu so
-	// pin persistence never blocks Get/Put traffic. pinSavedGen (guarded
-	// by pinSaveMu) is the generation of the snapshot on disk; a writer
-	// holding an older snapshot than the one already written skips, so
-	// racing writers always land newest-last.
-	pinSaveMu   sync.Mutex
-	pinSavedGen uint64
 }
 
 // Open creates dir if needed, indexes any existing entries, and returns a
@@ -188,11 +200,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		max = DefaultMaxBytes
 	}
 	s := &Store{dir: dir, max: max, ttl: opts.TTL, entries: map[string]entry{},
-		pinned: map[string]bool{}, pinKeys: map[string]bool{}, pinFile: opts.PinFile,
 		log: opts.Log, hooks: opts.Hooks}
-	if err := s.loadPinFile(); err != nil {
-		return nil, err
-	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
@@ -250,9 +258,9 @@ func fileName(key string) string {
 }
 
 // Get implements engine.Store: it returns the stored value for key, or
-// (nil, false) on any miss — absent, unreadable, corrupt, stale-version,
-// or key-mismatched entries all read as misses, and the broken ones are
-// unlinked so the next Put rewrites them.
+// (nil, false) on any miss — absent, unreadable, corrupt (checksum
+// mismatch), stale-version, or key-mismatched entries all read as misses,
+// and the broken ones are unlinked so the next Put rewrites them.
 func (s *Store) Get(key string) (any, bool) {
 	v, ok, _ := s.GetE(key)
 	return v, ok
@@ -279,17 +287,14 @@ func (s *Store) GetE(key string) (any, bool, error) {
 			return nil, false, err
 		}
 	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil ||
-		env.Version != envelopeVersion || env.Key != key {
+	env, err := decodeEnvelope(data)
+	if err != nil || env.Version != envelopeVersion || env.Key != key {
 		s.drop(name, &s.stats.Dropped)
 		return nil, false, nil
 	}
 	if s.ttl > 0 && time.Since(time.Unix(0, env.WrittenAt)) > s.ttl {
 		// Past its lifetime: a miss that self-heals — the slot is freed now
-		// and rewritten by the Put that follows the recomputation. Pinning
-		// does not rescue expired entries; it only shields live ones from
-		// LRU eviction.
+		// and rewritten by the Put that follows the recomputation.
 		s.drop(name, &s.stats.Expired)
 		return nil, false, nil
 	}
@@ -317,196 +322,6 @@ func (s *Store) drop(name string, counter *uint64) {
 	s.mu.Unlock()
 }
 
-// Pin exempts key's entry — present or future — from LRU eviction, so a
-// result worth keeping warm (a full-run artifact, a seed configuration)
-// survives capacity pressure from bulkier neighbors. Pinned entries still
-// count toward the byte cap (many pins can hold the store above it, which
-// only more Puts of pinned keys can worsen) and still expire under TTL:
-// expiry reads as a miss whose recomputation rewrites the slot in place.
-// With a pin file configured (Options.PinFile), the pin additionally
-// persists: the named file is rewritten so the key is re-pinned by the
-// next Open, making pinned working sets restart-surviving. To pin many
-// keys, use PinAll — one pin-file write instead of one per key.
-func (s *Store) Pin(key string) {
-	s.PinAll([]string{key})
-}
-
-// PinAll pins every key in one shot: the pin set updates under the lock
-// once and the pin file (when configured) is rewritten once, from a
-// snapshot, outside the entry mutex — a 4096-key working set is one
-// sorted file write, not 4096, and concurrent Get/Put traffic never
-// waits behind pin-file I/O.
-func (s *Store) PinAll(keys []string) {
-	s.TryPinAll(keys, 0)
-}
-
-// TryPinAll atomically pins every key iff doing so keeps the total
-// distinct pinned-key count within maxTotal (<= 0 means no limit).
-// Already-pinned keys cost nothing — re-pinning a working set at the cap
-// still succeeds — and a refusal changes nothing. Check and pin happen
-// under one lock hold, so concurrent callers cannot jointly overshoot
-// the cap. It reports whether the keys were pinned.
-func (s *Store) TryPinAll(keys []string, maxTotal int) bool {
-	s.mu.Lock()
-	if maxTotal > 0 {
-		fresh := 0
-		seen := make(map[string]bool, len(keys))
-		for _, key := range keys {
-			if !s.pinKeys[key] && !seen[key] {
-				seen[key] = true
-				fresh++
-			}
-		}
-		if len(s.pinKeys)+fresh > maxTotal {
-			s.mu.Unlock()
-			return false
-		}
-	}
-	changed := false
-	for _, key := range keys {
-		s.pinned[fileName(key)] = true
-		if !s.pinKeys[key] {
-			s.pinKeys[key] = true
-			changed = true
-		}
-	}
-	snap, gen := s.pinSnapshotLocked(changed)
-	s.mu.Unlock()
-	s.writePinFile(snap, gen)
-	return true
-}
-
-// Unpin makes key's entry an ordinary LRU citizen again (and removes it
-// from the pin file, when one is configured).
-func (s *Store) Unpin(key string) {
-	s.mu.Lock()
-	delete(s.pinned, fileName(key))
-	changed := s.pinKeys[key]
-	delete(s.pinKeys, key)
-	snap, gen := s.pinSnapshotLocked(changed)
-	s.mu.Unlock()
-	s.writePinFile(snap, gen)
-}
-
-// PinnedCount returns the number of distinct pinned keys, including pins
-// loaded from the pin file and pins for entries that do not exist yet.
-func (s *Store) PinnedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pinKeys)
-}
-
-// loadPinFile re-pins every key recorded by a previous process. A missing
-// file is a fresh start, not an error; an unreadable one fails Open
-// loudly — silently dropping a pin set would defeat its purpose.
-func (s *Store) loadPinFile() error {
-	if s.pinFile == "" {
-		return nil
-	}
-	data, err := os.ReadFile(s.pinFile)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("diskcache: pin file: %w", err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		key := strings.TrimSpace(line)
-		if key == "" || strings.HasPrefix(key, "#") {
-			continue
-		}
-		s.pinKeys[key] = true
-		s.pinned[fileName(key)] = true
-	}
-	return nil
-}
-
-// pinSnapshotLocked captures the representable pin set and stamps it
-// with a fresh generation when a write is due; gen 0 means nothing to
-// write (no change, or no pin file configured). Keys containing a
-// newline cannot be represented line-wise and stay process-local.
-func (s *Store) pinSnapshotLocked(changed bool) ([]string, uint64) {
-	if !changed || s.pinFile == "" {
-		return nil, 0
-	}
-	s.pinGen++
-	keys := make([]string, 0, len(s.pinKeys))
-	for k := range s.pinKeys {
-		if !strings.Contains(k, "\n") {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, s.pinGen
-}
-
-// writePinFile persists one pin-set snapshot: sorted for deterministic
-// bytes, written to a temp file and renamed into place so a crash never
-// leaves a torn pin set. It runs outside the entry mutex — pin-file I/O
-// never stalls Get/Put — and snapshots carry generations so racing
-// writers land newest-last: a snapshot older than the one already on
-// disk is skipped, never renamed over it. Because map mutation and
-// snapshot share one lock hold, the highest generation always reflects
-// the final in-memory set. Like Put, persistence is best-effort — an I/O
-// failure keeps the in-memory pins and is counted as a PinSaveErr.
-func (s *Store) writePinFile(keys []string, gen uint64) {
-	if gen == 0 {
-		return
-	}
-	s.pinSaveMu.Lock()
-	defer s.pinSaveMu.Unlock()
-	if gen <= s.pinSavedGen {
-		return
-	}
-	var buf bytes.Buffer
-	buf.WriteString("# mergescale disk-cache pin set: one engine key per line.\n")
-	for _, k := range keys {
-		buf.WriteString(k)
-		buf.WriteByte('\n')
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(s.pinFile), "pins-*"+tmpSuffix)
-	if err != nil {
-		s.pinSaveFail(err)
-		return
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmp.Name())
-		s.pinSaveFail(err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.pinSaveFail(err)
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.pinFile); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.pinSaveFail(err)
-		return
-	}
-	s.pinSavedGen = gen
-}
-
-// pinSaveFail records one pin-file rewrite failure: counted always,
-// logged once. The in-memory pin set is untouched, so pins keep working
-// for this process and only restart survival is at risk.
-func (s *Store) pinSaveFail(err error) {
-	s.mu.Lock()
-	s.stats.PinSaveErrs++
-	s.mu.Unlock()
-	s.logPinOnce.Do(func() {
-		s.logf("diskcache: pin file save failed (in-memory pins kept; further failures counted silently): %v", err)
-	})
-}
-
-// Pinned reports whether key is currently pinned.
-func (s *Store) Pinned(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pinned[fileName(key)]
-}
-
 // Put implements engine.Store: it persists val under key with an atomic
 // write-rename, then evicts least-recently-used entries until the store is
 // back under its byte cap. Failures are recorded in Stats and otherwise
@@ -519,18 +334,15 @@ func (s *Store) Put(key string, val any) { _ = s.PutE(key, val) }
 // signal. An unencodable value returns nil: that is a property of the
 // value, not of the disk, and is counted as a PutSkip instead.
 func (s *Store) PutE(key string, val any) error {
-	var buf bytes.Buffer
-	env := envelope{Version: envelopeVersion, Key: key, WrittenAt: time.Now().UnixNano(), Value: val}
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+	data, err := encodeEnvelope(envelope{Version: envelopeVersion, Key: key, WrittenAt: time.Now().UnixNano(), Value: val})
+	if err != nil {
 		s.mu.Lock()
 		s.stats.PutSkips++
 		s.mu.Unlock()
 		s.logEncodeOnce.Do(func() { s.logf("diskcache: put skipped (unencodable value; further skips counted silently): %v", err) })
 		return nil
 	}
-	data := buf.Bytes()
 	if s.hooks.WrapPut != nil {
-		var err error
 		if data, err = s.hooks.WrapPut(key, data); err != nil {
 			return s.writeFail(err)
 		}
@@ -590,15 +402,15 @@ func (s *Store) logf(format string, args ...any) {
 // evictLocked removes index records oldest-first (mtime, then name for a
 // deterministic tie-break) until total <= max, sparing keep — the entry
 // just written, so a single oversized value cannot evict itself into a
-// write/evict loop — and every pinned entry. It returns the file names for
-// the caller to unlink outside the lock.
+// write/evict loop. It returns the file names for the caller to unlink
+// outside the lock.
 func (s *Store) evictLocked(keep string) []string {
 	if s.total <= s.max {
 		return nil
 	}
 	names := make([]string, 0, len(s.entries))
 	for n := range s.entries {
-		if n != keep && !s.pinned[n] {
+		if n != keep {
 			names = append(names, n)
 		}
 	}

@@ -1,18 +1,18 @@
 // Package engine is the concurrent experiment runtime: a bounded worker
-// pool that executes heterogeneous jobs (paper artifacts, design-space
-// sweep points, simulator runs) with per-job context cancellation, a
-// two-level config-hash result cache, and deterministic output ordering.
+// pool that executes heterogeneous jobs (paper artifacts, simulator runs)
+// with per-job context cancellation, a two-level config-hash result cache,
+// and deterministic output ordering.
 //
 // The engine is deliberately independent of the model and workload
 // packages so that any layer — cmd/mergescale submitting whole
-// experiments, internal/core sharding a sweep into per-point sub-jobs,
-// internal/workload sharding simulator runs per core count — can fan out
-// through the same pool.
+// experiments, internal/workload sharding simulator runs per core count —
+// can fan out through the same pool. Work cheaper than a job's bookkeeping
+// (the analytic model in internal/core) stays a plain function call.
 //
 // # Concurrency model
 //
-// Nested submission is safe: when every worker slot is busy (e.g. a sweep
-// sharded from inside an experiment job), Run executes the job inline on
+// Nested submission is safe: when every worker slot is busy (e.g.
+// simulator runs sharded from inside an experiment job), Run executes the job inline on
 // the calling goroutine instead of queueing, so a job waiting for its own
 // sub-jobs can never deadlock the pool. The Run caller therefore counts as
 // one of the Config.Workers workers, and Workers: 1 is exactly serial

@@ -184,8 +184,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 // RunOne is the single-job convenience form of Run. A single job offers no
 // fan-out, so it executes directly on the calling goroutine (the same
 // caller-runs behavior Run exhibits when the pool is saturated) without
-// Run's slice/waitgroup bookkeeping — nested sweep and simulation jobs
-// take this path once per sweep.
+// Run's slice/waitgroup bookkeeping.
 func (e *Engine) RunOne(ctx context.Context, job Job) Result {
 	r := e.exec(ctx, job)
 	e.inline.Add(1)

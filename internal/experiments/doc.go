@@ -5,11 +5,12 @@
 // EXPERIMENTS.md can record paper-vs-measured for every artifact.
 //
 // Experiments run through the engine: RunAll submits one job per artifact,
-// and experiments shard their internal work — design-space sweep points
-// (internal/core) and per-core-count simulator runs (internal/workload) —
-// into sub-jobs on the same engine via Options.Engine. The engine executes
+// and experiments shard their simulator runs (internal/workload) into
+// sub-jobs on the same engine via Options.Engine. The engine executes
 // sub-jobs inline when its pool is saturated, so nested submission never
-// deadlocks.
+// deadlocks. The analytic model (internal/core) is closed-form arithmetic,
+// cheaper than a job or a cache read, so design-space sweeps are plain
+// function calls and never become engine jobs.
 //
 // Stream is the push-based form consumers build on (the CLIs, and one
 // sink per HTTP client in internal/serve): outcomes are released to the

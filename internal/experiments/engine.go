@@ -163,9 +163,10 @@ func (r *releaser) err() error {
 
 // StreamElements is the element-granular form of Stream: instead of
 // releasing whole documents it releases individual report elements — table
-// frames, rows, chart series — in target order, so a sweep-shaped
-// experiment's first table row reaches emit the moment its engine sub-job
-// resolves, not when the whole experiment does.
+// frames, rows, chart series — in target order, so an experiment's first
+// table row reaches emit the moment it is produced (for simulator figures,
+// the moment its engine sub-job resolves), not when the whole experiment
+// does.
 //
 // Each target runs with opt.Emit wired into an in-order element release
 // buffer: the head target's elements forward to emit live, later targets'

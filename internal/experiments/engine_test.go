@@ -126,7 +126,7 @@ func TestRunAllCancellation(t *testing.T) {
 }
 
 // TestRunAllSubset checks single-target submission (the cmd path for
-// `run <id>`) and that sweep sub-jobs ride the same engine.
+// `run <id>`).
 func TestRunAllSubset(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 4})
 	e, err := ByID("fig4")
@@ -136,12 +136,6 @@ func TestRunAllSubset(t *testing.T) {
 	outcomes := RunAll(context.Background(), eng, []Experiment{e}, quick)
 	if outcomes[0].Err != nil {
 		t.Fatal(outcomes[0].Err)
-	}
-	st := eng.Stats()
-	// fig4 alone shards 16 series × the power-of-two grid into sub-jobs:
-	// far more executions than the single experiment job.
-	if st.Executed < 10 {
-		t.Errorf("expected sweep sub-jobs on the engine, got %d executions", st.Executed)
 	}
 }
 

@@ -33,9 +33,10 @@ type Options struct {
 	// UseDuration bases the native-run experiments (Fig. 2(c)) on wall
 	// clock instead of deterministic operation counts.
 	UseDuration bool
-	// Engine, when non-nil, lets experiments shard internal work (design-
-	// space sweep points, per-workload simulations) into engine sub-jobs.
-	// It is excluded from cache keys; see cacheKey.
+	// Engine, when non-nil, lets experiments shard their simulator runs
+	// into engine sub-jobs. Analytic-model evaluation
+	// (design-space sweeps, SweepPlan.Run) never goes through it. It is
+	// excluded from cache keys; see cacheKey.
 	Engine *engine.Engine
 	// Emit, when non-nil, receives the experiment's report elements live
 	// as they are produced — fine-grained (table frames, rows, chart

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"mergescale/internal/engine"
 	"mergescale/internal/report"
 )
 
@@ -53,6 +52,7 @@ func TestParseSweepRequestRejects(t *testing.T) {
 		{"truncated", `{"apps":[{"f":0.9}`},
 		{"not an object", `[1,2,3]`},
 		{"unknown field", `{"apps":[{"f":0.9,"name":"mine"}],"budgets":[64]}`},
+		{"retired pin field", `{"apps":[{"f":0.9}],"budgets":[64],"pin":true}`},
 		{"wrong type", `{"apps":"many","budgets":[64]}`},
 		{"trailing data", sweepBody + ` {"again":true}`},
 		{"huge exponent", `{"apps":[{"f":1e999}],"budgets":[64]}`},
@@ -152,22 +152,19 @@ func TestSweepNormalizeHugeProductRejectedCheaply(t *testing.T) {
 
 // TestSweepNormalizeCanonical: two spellings of the same design space —
 // reordered axes, duplicated values, growth default spelled out — must
-// normalize to the same plan: same fingerprint, same point keys in the
-// same order. This is the whole caching contract of POST /sweep.
+// normalize to the same plan: same fingerprint, same rendered bytes. This
+// is the whole caching contract of POST /sweep.
 func TestSweepNormalizeCanonical(t *testing.T) {
 	a := mustPlan(t, sweepBody)
 	b := mustPlan(t, `{"apps":[{"f":0.9,"growth":"linear"},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64,256],"rs":[16,8,4,2,1,16]}`)
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("equivalent grids fingerprint differently: %s vs %s", a.Fingerprint(), b.Fingerprint())
 	}
-	ka, kb := a.Keys(), b.Keys()
-	if len(ka) != len(kb) {
-		t.Fatalf("equivalent grids have %d vs %d point keys", len(ka), len(kb))
+	if a.Points() != b.Points() {
+		t.Fatalf("equivalent grids have %d vs %d points", a.Points(), b.Points())
 	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("point %d keys differ: %s vs %s", i, ka[i], kb[i])
-		}
+	if !bytes.Equal(renderPlan(t, a, "text", true), renderPlan(t, b, "text", true)) {
+		t.Fatal("equivalent grids render different bytes")
 	}
 	// A genuinely different space must not collide.
 	c := mustPlan(t, `{"apps":[{"f":0.9}],"budgets":[64],"rs":[1,2]}`)
@@ -180,7 +177,7 @@ func TestSweepNormalizeCanonical(t *testing.T) {
 // document, then Replay) or streamed (plan emits elements straight into
 // the renderer). The two must be byte-identical — the same guarantee the
 // registry experiments carry, extended to client-supplied sweeps.
-func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string, streamed bool) []byte {
+func renderPlan(t *testing.T, plan *SweepPlan, format string, streamed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r, err := report.NewRenderer(format, &buf)
@@ -190,7 +187,7 @@ func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string
 	if err := r.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Engine: eng}
+	var opt Options
 	if streamed {
 		opt.Emit = r.Element
 	}
@@ -209,54 +206,24 @@ func renderPlan(t *testing.T, plan *SweepPlan, eng *engine.Engine, format string
 	return buf.Bytes()
 }
 
-// TestSweepRunDeterministic: across all four formats, the serial buffered
-// rendering, the serial streamed rendering, and engine-backed streamed
-// renderings at several worker counts all produce identical bytes. Runs
-// under -race in CI, exercising the point releaser against concurrent
-// OnDone callbacks.
+// TestSweepRunDeterministic: across all four formats, the buffered
+// rendering and the streamed rendering produce identical bytes.
 func TestSweepRunDeterministic(t *testing.T) {
 	plan := mustPlan(t, sweepBody)
 	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		want := renderPlan(t, plan, nil, format, false)
+		want := renderPlan(t, plan, format, false)
 		if len(want) == 0 {
-			t.Fatalf("%s: buffered serial render is empty", format)
+			t.Fatalf("%s: buffered render is empty", format)
 		}
-		if got := renderPlan(t, plan, nil, format, true); !bytes.Equal(want, got) {
-			t.Fatalf("%s: serial streamed render differs from buffered", format)
+		if got := renderPlan(t, plan, format, true); !bytes.Equal(want, got) {
+			t.Fatalf("%s: streamed render differs from buffered", format)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			eng := engine.New(engine.Config{Workers: workers})
-			if got := renderPlan(t, plan, eng, format, true); !bytes.Equal(want, got) {
-				t.Fatalf("%s workers=%d: engine streamed render differs from serial", format, workers)
-			}
-		}
-	}
-}
-
-// TestSweepWarmReplayExecutesNothing: a second equivalent run on the same
-// engine — even spelled in a different order — is served entirely from
-// the point cache and still renders the same bytes.
-func TestSweepWarmReplayExecutesNothing(t *testing.T) {
-	plan := mustPlan(t, sweepBody)
-	reordered := mustPlan(t, `{"apps":[{"f":0.9},{"f":0.975,"fcon":0.1,"fored":0.2}],"budgets":[256,64],"rs":[16,1,8,2,4]}`)
-	eng := engine.New(engine.Config{Workers: 4})
-	first := renderPlan(t, plan, eng, "text", true)
-	executed := eng.Stats().Executed
-	if executed == 0 {
-		t.Fatal("cold sweep executed no jobs")
-	}
-	second := renderPlan(t, reordered, eng, "text", true)
-	if again := eng.Stats().Executed; again != executed {
-		t.Fatalf("warm reordered sweep executed %d new jobs, want 0", again-executed)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("warm reordered sweep rendered different bytes")
 	}
 }
 
 // TestSweepFirstRowBeforeLastJobCompletes is the streaming-latency gate
-// (named in scripts/ci.sh): over a cold 64-point grid, the first table
-// row must be released before the final grid point's job finishes. The
+// (named in scripts/ci.sh): over a 64-point grid, the first table row
+// must be released before the final grid point is evaluated. The
 // sweepPointStart hook holds the last point hostage until the first row
 // is observed — if rows only flushed after the whole sweep, this would
 // deadlock (bounded by the timeout) instead of passing.
@@ -286,8 +253,7 @@ func TestSweepFirstRowBeforeLastJobCompletes(t *testing.T) {
 
 	var once sync.Once
 	rows := 0
-	eng := engine.New(engine.Config{Workers: 2})
-	_, err := plan.Run(context.Background(), Options{Engine: eng, Emit: func(el report.Element) error {
+	_, err := plan.Run(context.Background(), Options{Emit: func(el report.Element) error {
 		if el.Kind == report.ElemRow {
 			once.Do(func() { close(firstRow) })
 			rows++
@@ -298,7 +264,7 @@ func TestSweepFirstRowBeforeLastJobCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if timedOut.Load() {
-		t.Fatal("last point job finished the wait by timeout: no row was released while the sweep was still executing")
+		t.Fatal("last point finished the wait by timeout: no row was released while the sweep was still executing")
 	}
 	if rows != 64 {
 		t.Fatalf("released %d rows, want 64", rows)
@@ -307,13 +273,13 @@ func TestSweepFirstRowBeforeLastJobCompletes(t *testing.T) {
 
 // FuzzParseSweepRequest: no body may panic the decoder or normalizer, and
 // every rejection must stay a single line. Accepted plans must produce a
-// fingerprint and a full key set without panicking.
+// fingerprint without panicking.
 func FuzzParseSweepRequest(f *testing.F) {
 	f.Add(sweepBody)
 	f.Add(`{"apps":[{"f":0.9}],"budgets":[64]}`)
 	f.Add(`{"apps":[{"f":1e999}],"budgets":[64]}`)
 	f.Add(`{"apps":[],"budgets":[]}`)
-	f.Add(`{"apps":[{"f":0.9,"growth":"amdahl"}],"budgets":[1],"rs":[1],"pin":true}`)
+	f.Add(`{"apps":[{"f":0.9,"growth":"amdahl"}],"budgets":[1],"rs":[1]}`)
 	f.Add(`[]`)
 	f.Add(``)
 	f.Fuzz(func(t *testing.T, body string) {
@@ -336,9 +302,6 @@ func FuzzParseSweepRequest(f *testing.F) {
 		}
 		if plan.Fingerprint() == "" {
 			t.Fatal("accepted plan has empty fingerprint")
-		}
-		if got := len(plan.Keys()); got != plan.Points() {
-			t.Fatalf("%d keys for %d points", got, plan.Points())
 		}
 	})
 }

@@ -29,13 +29,14 @@
 #                      req/s plus p50/p95/p99 split cold (first render
 #                      per key) vs warm (render-cache hits).
 #   BENCH_sweep.json   element-granular streaming latency: `mergescale
-#                      sweep` over a pinned 64-point grid (2 apps x 2
-#                      budgets x 16 r values), cold then warm against one
-#                      disk cache, parsing time-to-first-row and total
-#                      wall time from the -timing stderr line. The cold
-#                      first-row/total gap is the streaming win (the
-#                      first row ships while later points compute); warm
-#                      first-row ~= warm total is the cache win.
+#                      sweep` over a fixed 64-point grid (2 apps x 2
+#                      budgets x 16 r values), parsing time-to-first-row
+#                      and total wall time from the -timing stderr line.
+#                      Sweep points are plain function calls with no
+#                      cache, so one row covers it; the first-row/total
+#                      gap is the streaming win (the first row ships
+#                      before later points are computed). The header
+#                      records CPU model, nproc and GOMAXPROCS.
 #   BENCH_faults.json  graceful-degradation cost: the BENCH_serve warm
 #                      replay repeated at 0%, 1%, and 10% injected
 #                      disk-store fault rates (-faults get.err/put.err
@@ -168,10 +169,8 @@ fi
 
 if want_suite sweep; then
     echo "== sweep first-row/total latency =="
-    # Pinned 64-point grid so rows compare across commits. Cold pass
-    # computes every point and streams rows as they resolve; warm pass
-    # replays the same grid from the disk cache. Timings come from the
-    # machine-readable -timing line on stderr:
+    # Fixed 64-point grid so rows compare across commits. Timings come
+    # from the machine-readable -timing line on stderr:
     #   mergescale sweep: points=N rows=N first-row=Xs total=Ys
     sweepdir=$(mktemp -d)
     trap 'rm -rf "$sweepdir"; rm -f "$tmp"' EXIT
@@ -182,34 +181,35 @@ if want_suite sweep; then
  "rs":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}
 EOF
     "$sweepdir/mergescale" sweep -grid "$sweepdir/grid.json" -timing \
-        -cachedir "$sweepdir/cache" > /dev/null 2> "$sweepdir/cold.timing"
-    "$sweepdir/mergescale" sweep -grid "$sweepdir/grid.json" -timing \
-        -cachedir "$sweepdir/cache" > /dev/null 2> "$sweepdir/warm.timing"
+        > /dev/null 2> "$sweepdir/sweep.timing"
 
     # parse_timing FILE FIELD — extracts the seconds value of first-row=
     # or total= from a -timing line.
     parse_timing() {
         sed -n "s/.* $2=\([0-9.]*\)s.*/\1/p" "$1"
     }
-    points=$(sed -n 's/.* points=\([0-9]*\) .*/\1/p' "$sweepdir/cold.timing")
-    cold_first=$(parse_timing "$sweepdir/cold.timing" first-row)
-    cold_total=$(parse_timing "$sweepdir/cold.timing" total)
-    warm_first=$(parse_timing "$sweepdir/warm.timing" first-row)
-    warm_total=$(parse_timing "$sweepdir/warm.timing" total)
-    if [ -z "$points" ] || [ -z "$cold_first" ] || [ -z "$warm_total" ]; then
+    points=$(sed -n 's/.* points=\([0-9]*\) .*/\1/p' "$sweepdir/sweep.timing")
+    first=$(parse_timing "$sweepdir/sweep.timing" first-row)
+    total=$(parse_timing "$sweepdir/sweep.timing" total)
+    if [ -z "$points" ] || [ -z "$first" ] || [ -z "$total" ]; then
         echo "bench.sh: could not parse -timing output:" >&2
-        cat "$sweepdir/cold.timing" "$sweepdir/warm.timing" >&2
+        cat "$sweepdir/sweep.timing" >&2
         exit 1
     fi
+    cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+    ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
     cat > BENCH_sweep.json <<EOF
 {
   "go": "$(go env GOVERSION)",
   "goos": "$(go env GOOS)",
   "goarch": "$(go env GOARCH)",
+  "cpu": "${cpu:-unknown}",
+  "nproc": $ncpu,
+  "gomaxprocs": ${GOMAXPROCS:-$ncpu},
   "grid": "2 apps x 2 budgets x 16 rs",
   "points": $points,
-  "cold": {"first_row_s": $cold_first, "total_s": $cold_total},
-  "warm": {"first_row_s": $warm_first, "total_s": $warm_total}
+  "first_row_s": $first,
+  "total_s": $total
 }
 EOF
     rm -rf "$sweepdir"
