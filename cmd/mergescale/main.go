@@ -3,9 +3,9 @@
 // Usage:
 //
 //	mergescale -list
-//	mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration]
-//	           [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D]
-//	           [-nocache] [-faults SPEC] [-stats]
+//	mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N]
+//	           [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC]
+//	           [-stats]
 //	           run <experiment-id>|all
 //	mergescale [-quick] [-duration] [-workers N] [-cachedir DIR]
 //	           [-cachettl D] [-nocache] [-faults SPEC] serve
@@ -24,17 +24,14 @@
 // artifact; per-core simulator runs shard into sub-jobs, while analytic
 // design-space sweeps are plain function calls), but the output is always
 // rendered in registry order, so a parallel run is byte-identical to
-// -workers 1. -simworkers additionally
-// shards each simulator run across goroutines; the sharded simulator is
-// bit-identical to the serial reference, so this too changes no output
-// byte (and no cache key).
+// -workers 1. Each simulator run is one serial machine run; see
+// docs/ARCHITECTURE.md "Why simulator runs are serial".
 //
 // Output goes through the streaming report pipeline: -format selects the
-// backend (text, markdown, json, csv — all byte-deterministic), and
-// -stream renders each experiment the moment it completes instead of after
-// the whole run, cutting time-to-first-output to the fastest artifact while
-// producing exactly the same bytes (experiments.Stream releases outcomes in
-// registry order).
+// backend (text, markdown, json, csv — all byte-deterministic), and each
+// table row is written the moment it resolves, released in registry order
+// by experiments.StreamElements — the same pipeline and bytes as
+// GET /run/{id}?format=F.
 //
 // With -cachedir, results persist across processes: a second run against a
 // warm cache directory replays every artifact from disk without running a
@@ -94,7 +91,6 @@ import (
 	"mergescale/internal/faults"
 	"mergescale/internal/report"
 	"mergescale/internal/serve"
-	"mergescale/internal/workload"
 )
 
 func main() {
@@ -110,12 +106,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list available experiments and exit")
 		quickRun  = fs.Bool("quick", false, "shrink data sets and grids for a fast run")
 		format    = fs.String("format", "text", "output format: text | markdown | json | csv")
-		stream    = fs.Bool("stream", false, "render each experiment as soon as it completes (same bytes, lower latency)")
 		outPath   = fs.String("out", "", "write rendered output to this file instead of stdout")
 		csv       = fs.Bool("csv", false, "deprecated: shorthand for -format=csv")
 		duration  = fs.Bool("duration", false, "base native experiments on wall time instead of op counts")
 		workers   = fs.Int("workers", 0, "engine worker count (0 = GOMAXPROCS, 1 = serial)")
-		simwork   = fs.Int("simworkers", 1, "intra-run simulator worker goroutines (1 = serial reference; results are bit-identical at any setting)")
 		cachedir  = fs.String("cachedir", "", "persist engine results to this directory across runs")
 		cachettl  = fs.Duration("cachettl", 0, "expire disk-cache entries older than this (0 = never)")
 		nocache   = fs.Bool("nocache", false, "disable the engine result cache (memory and disk)")
@@ -123,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print engine cache/worker statistics to stderr")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-stream] [-out FILE] [-duration] [-workers N] [-simworkers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
+		fmt.Fprintf(stderr, "usage: mergescale [-quick] [-format F] [-out FILE] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] [-stats] run <id>|all\n       mergescale [-quick] [-duration] [-workers N] [-cachedir DIR] [-cachettl D] [-nocache] [-faults SPEC] serve [-addr HOST:PORT] [-ratelimit N] [-rateburst N] [-maxstreams N] [-reqtimeout D] [-draintimeout D]\n       mergescale sweep [-grid FILE|-] [-format F] [-out FILE] [-timing]\n       mergescale load -url URL [-profile uniform|powerlaw|burst] [-targets IDS] [-formats F] [-concurrency N] [-requests N | -for D] [-rate R] [-seed N] [-alpha A] [-retries N] [-retrybase D] [-out FILE]\n       mergescale -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -136,11 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Negative values parse fine but mean nothing downstream (-workers -4
 	// would silently select GOMAXPROCS; a negative TTL would expire every
 	// disk entry on sight). Reject them up front.
-	if *simwork < 1 {
-		fmt.Fprintf(stderr, "mergescale: -simworkers must be >= 1 (got %d)\n", *simwork)
-		return 2
-	}
-	workload.SetSimParallelism(*simwork)
 	if *workers < 0 {
 		fmt.Fprintf(stderr, "mergescale: -workers must be >= 0 (got %d)\n", *workers)
 		return 2
@@ -201,12 +190,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(rest) >= 1 && rest[0] == "serve" {
 		// The rendering flags are per-request (format) or meaningless for a
-		// long-running server (stream, out, csv, stats); silently ignoring
+		// long-running server (out, csv, stats); silently ignoring
 		// them would be the same bug as -csv vs -format. Reject them.
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "format", "stream", "out", "csv", "stats":
+			case "format", "out", "csv", "stats":
 				if conflict == "" {
 					conflict = f.Name
 				}
@@ -295,7 +284,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	eng := engine.New(cfg)
 
-	code := render(ctx, eng, targets, opt, renderer, *stream, stderr)
+	code := render(ctx, eng, targets, opt, renderer, stderr)
 	if outFile != nil {
 		if err := outFile.Close(); err != nil && code == 0 {
 			fmt.Fprintf(stderr, "mergescale: %v\n", err)
@@ -350,35 +339,17 @@ func openStoreChain(cachedir string, opts diskcache.Options, spec faults.Spec, s
 	return storeChain{disk: disk, injector: in, breaker: faults.NewBreaker(es, faults.BreakerOptions{})}
 }
 
-// render drives the experiment pipeline into renderer, either streaming
-// (element-granular: table rows flush the moment their engine sub-jobs
-// resolve, released in registry order) or buffered (after the whole run).
-// Both paths emit exactly the same bytes; only the latency differs.
+// render drives the experiment pipeline into renderer element by
+// element: table rows flush the moment their engine sub-jobs resolve,
+// released in registry order, so the bytes never depend on completion
+// order — the same pipeline GET /run uses.
 func render(ctx context.Context, eng *engine.Engine, targets []experiments.Experiment,
-	opt experiments.Options, renderer report.Renderer, stream bool, stderr io.Writer) int {
+	opt experiments.Options, renderer report.Renderer, stderr io.Writer) int {
 	if err := renderer.Begin(); err != nil {
 		fmt.Fprintf(stderr, "mergescale: render: %v\n", err)
 		return 1
 	}
-	emit := func(o experiments.Outcome) error {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %v", o.ID, o.Err)
-		}
-		if err := o.Doc.Replay(renderer); err != nil {
-			return fmt.Errorf("%s: render: %v", o.ID, err)
-		}
-		return nil
-	}
-	var runErr error
-	if stream {
-		runErr = experiments.StreamElements(ctx, eng, targets, opt, renderer.Element)
-	} else {
-		for _, o := range experiments.RunAll(ctx, eng, targets, opt) {
-			if runErr = emit(o); runErr != nil {
-				break
-			}
-		}
-	}
+	runErr := experiments.StreamElements(ctx, eng, targets, opt, renderer.Element)
 	if runErr == nil {
 		runErr = renderer.End()
 	}
@@ -390,7 +361,7 @@ func render(ctx context.Context, eng *engine.Engine, targets []experiments.Exper
 }
 
 // serveConfig carries the global flags the serve subcommand honors. The
-// rendering flags (-format, -stream, -out, -csv, -stats) are per-request
+// rendering flags (-format, -out, -csv, -stats) are per-request
 // or meaningless for a server and are rejected before dispatch.
 type serveConfig struct {
 	quick    bool

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mergescale/internal/experiments"
+	"mergescale/internal/report"
 	"mergescale/internal/sim"
 )
 
@@ -129,19 +132,39 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBufferedCLI: -stream must produce byte-identical output
-// to the buffered default, per format.
+// TestStreamMatchesBufferedCLI: the CLI, which streams element by element,
+// must produce exactly the bytes of the buffered in-process reference —
+// RunAll on a serial engine, then Begin / per-document Replay / End — for
+// every format over the whole registry.
 func TestStreamMatchesBufferedCLI(t *testing.T) {
+	reg := experiments.Registry()
+	outcomes := experiments.RunAll(context.Background(), nil, reg, experiments.Options{Quick: true})
 	for _, format := range []string{"text", "markdown", "json", "csv"} {
-		var buffered, streamed, errOut bytes.Buffer
-		if code := run([]string{"-quick", "-format", format, "run", "fig4"}, &buffered, &errOut); code != 0 {
-			t.Fatalf("%s buffered run failed: %s", format, errOut.String())
+		var want bytes.Buffer
+		r, err := report.NewRenderer(format, &want)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if code := run([]string{"-quick", "-format", format, "-stream", "run", "fig4"}, &streamed, &errOut); code != 0 {
-			t.Fatalf("%s streamed run failed: %s", format, errOut.String())
+		if err := r.Begin(); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
-			t.Errorf("%s: -stream output differs from buffered", format)
+		for _, o := range outcomes {
+			if o.Err != nil {
+				t.Fatalf("%s: %v", o.ID, o.Err)
+			}
+			if err := o.Doc.Replay(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.End(); err != nil {
+			t.Fatal(err)
+		}
+		var got, errOut bytes.Buffer
+		if code := run([]string{"-quick", "-format", format, "run", "all"}, &got, &errOut); code != 0 {
+			t.Fatalf("%s run failed: %s", format, errOut.String())
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("%s: CLI output differs from the buffered reference (%d vs %d bytes)", format, got.Len(), want.Len())
 		}
 	}
 }
@@ -165,7 +188,7 @@ func TestFormatMarkdown(t *testing.T) {
 // requested artifact.
 func TestFormatJSON(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-format", "json", "-stream", "run", "table3"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-format", "json", "run", "table3"}, &out, &errOut); code != 0 {
 		t.Fatalf("json run failed: %s", errOut.String())
 	}
 	var docs []struct {
@@ -264,7 +287,6 @@ func TestServeUsageErrors(t *testing.T) {
 	// must be rejected, not silently dropped.
 	for _, args := range [][]string{
 		{"-format", "json", "serve"},
-		{"-stream", "serve"},
 		{"-out", "x", "serve"},
 		{"-csv", "serve"},
 		{"-stats", "serve"},
@@ -295,7 +317,7 @@ func TestUnknownFormat(t *testing.T) {
 func TestOutFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.md")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-format", "markdown", "-stream", "-out", path, "run", "table3"}, &out, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-format", "markdown", "-out", path, "run", "table3"}, &out, &errOut); code != 0 {
 		t.Fatalf("-out run failed: %s", errOut.String())
 	}
 	if out.Len() != 0 {
@@ -315,14 +337,15 @@ func TestOutFile(t *testing.T) {
 }
 
 // TestWarmDiskCacheStreamedMarkdown: the warm-replay guarantee holds on
-// the streaming markdown path — zero simulator machine runs and
-// byte-identical output on the second run.
+// the markdown path, where a warm run replays stored documents through the
+// element stream — zero simulator machine runs and byte-identical output
+// on the second run.
 func TestWarmDiskCacheStreamedMarkdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	dir := t.TempDir()
-	args := []string{"-quick", "-cachedir", dir, "-format", "markdown", "-stream", "run", "fig2a"}
+	args := []string{"-quick", "-cachedir", dir, "-format", "markdown", "run", "fig2a"}
 	var cold, warm, errOut bytes.Buffer
 	if code := run(args, &cold, &errOut); code != 0 {
 		t.Fatalf("cold run failed: %s", errOut.String())

@@ -72,7 +72,7 @@ type Stats struct {
 	Hits        uint64 // jobs satisfied by a cached or in-flight computation (memory)
 	Misses      uint64 // cacheable jobs that missed the memory cache
 	Executed    uint64 // job functions actually invoked
-	Inline      uint64 // jobs run on the submitting goroutine (pool saturated, or the single-job RunOne fast path — NOT a saturation signal by itself)
+	Inline      uint64 // jobs run on the submitting goroutine because the pool was saturated (including nested Run calls from inside a job)
 	StoreHits   uint64 // memory misses satisfied by the persistent store
 	StoreMisses uint64 // store lookups that fell through to computation
 }
@@ -179,19 +179,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	}
 	wg.Wait()
 	return results
-}
-
-// RunOne is the single-job convenience form of Run. A single job offers no
-// fan-out, so it executes directly on the calling goroutine (the same
-// caller-runs behavior Run exhibits when the pool is saturated) without
-// Run's slice/waitgroup bookkeeping.
-func (e *Engine) RunOne(ctx context.Context, job Job) Result {
-	r := e.exec(ctx, job)
-	e.inline.Add(1)
-	if job.OnDone != nil {
-		job.OnDone(r)
-	}
-	return r
 }
 
 // exec runs one job through the cache.

@@ -186,15 +186,15 @@ func TestCancellationNotCached(t *testing.T) {
 	key := Key("retry")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := e.RunOne(ctx, Job{ID: "first", Key: key, Fn: func(ctx context.Context) (any, error) {
+	res := e.Run(ctx, []Job{{ID: "first", Key: key, Fn: func(ctx context.Context) (any, error) {
 		return nil, ctx.Err()
-	}})
+	}}})[0]
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("first run err = %v, want context.Canceled", res.Err)
 	}
-	res = e.RunOne(context.Background(), Job{ID: "second", Key: key, Fn: func(context.Context) (any, error) {
+	res = e.Run(context.Background(), []Job{{ID: "second", Key: key, Fn: func(context.Context) (any, error) {
 		return "fresh", nil
-	}})
+	}}})[0]
 	if res.Err != nil || res.Value != "fresh" {
 		t.Fatalf("second run = %+v, want fresh value", res)
 	}
@@ -387,19 +387,19 @@ func TestWaiterSurvivesComputerCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resA = e.RunOne(ctxA, Job{ID: "computer", Key: key, Fn: func(ctx context.Context) (any, error) {
+		resA = e.Run(ctxA, []Job{{ID: "computer", Key: key, Fn: func(ctx context.Context) (any, error) {
 			close(started)
 			<-ctx.Done()
 			return nil, ctx.Err()
-		}})
+		}}})[0]
 	}()
 	<-started
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resB = e.RunOne(context.Background(), Job{ID: "waiter", Key: key, Fn: func(context.Context) (any, error) {
+		resB = e.Run(context.Background(), []Job{{ID: "waiter", Key: key, Fn: func(context.Context) (any, error) {
 			return "recomputed", nil
-		}})
+		}}})[0]
 	}()
 	time.Sleep(20 * time.Millisecond) // let the waiter block on the in-flight entry
 	cancelA()

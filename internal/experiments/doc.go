@@ -12,11 +12,12 @@
 // cheaper than a job or a cache read, so design-space sweeps are plain
 // function calls and never become engine jobs.
 //
-// Stream is the push-based form consumers build on (the CLIs, and one
-// sink per HTTP client in internal/serve): outcomes are released to the
-// sink in target order as jobs resolve, and a sink error cancels the
-// run's derived context so outstanding jobs stop computing for a
-// consumer that is gone.
+// StreamElements is the one rendering pipeline consumers build on (the
+// mergescale CLI, and one stream per HTTP client in internal/serve):
+// report elements are released to emit in target order as jobs resolve,
+// and an emit error cancels the run's derived context so outstanding jobs
+// stop computing for a consumer that is gone. RunAll is its buffered
+// reference: the same jobs through eng.Run, outcomes in target order.
 //
 // Caching rules. Every experiment job is keyed by cacheKey: the artifact
 // id plus each Options field that changes output. Options.Engine is

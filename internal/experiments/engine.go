@@ -17,84 +17,37 @@ type Outcome struct {
 	Cached bool
 }
 
-// Sink consumes completed outcomes in target order. Returning a non-nil
-// error stops delivery — no later outcome reaches the sink, Stream returns
-// that error, and the run's derived context is cancelled so outstanding
-// engine jobs stop instead of computing results nobody will read (a
-// disconnected HTTP client must not keep burning simulator time).
-// Cancelled jobs are never persisted to the cache, so an aborted stream
-// cannot poison later runs.
-type Sink func(Outcome) error
-
-// Stream executes targets through eng and hands each outcome to sink as
-// soon as it is ready AND every earlier target has been delivered. Outcomes
-// therefore arrive in target order — streamed rendering is byte-identical
-// to a buffered run — but the first outcome is released when the first
-// target resolves, not when the slowest one does, and at most the
-// out-of-order suffix of completed outcomes is ever held in memory.
-//
-// Completion is driven by the engine's per-job OnDone hook, so there is no
-// polling: hooks fire on whichever goroutine resolved each job (a pool
-// worker, or this goroutine via the caller-runs-inline invariant) and park
-// their outcome in a small in-order release buffer; the buffer's lock
-// serializes sink calls, so the sink itself needs no synchronization.
-// Cancelled targets are delivered like any other outcome, carrying the
-// context error.
-//
-// A nil eng runs the targets serially on the calling goroutine, delivering
-// each outcome as it is computed (and stopping early on a sink error).
-func Stream(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options, sink Sink) error {
+// RunAll executes targets through eng and returns every outcome in target
+// order, errored and cancelled ones included. It is the buffered form of
+// StreamElements — same bytes when each outcome's document is replayed in
+// order, whole-run latency — for callers that need the complete result
+// set at once. A nil eng runs the targets serially on the calling
+// goroutine.
+func RunAll(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options) []Outcome {
+	outcomes := make([]Outcome, len(targets))
 	if eng == nil {
 		opt.Engine = nil
-		for _, e := range targets {
-			o := Outcome{Experiment: e}
-			o.Doc, o.Err = e.Run(ctx, opt)
-			if err := sink(o); err != nil {
-				return err
-			}
+		for i, e := range targets {
+			outcomes[i] = Outcome{Experiment: e}
+			outcomes[i].Doc, outcomes[i].Err = e.Run(ctx, opt)
 		}
-		return nil
+		return outcomes
 	}
 
-	// Every job — including nested sub-jobs sharded from inside experiment
-	// functions via opt.Engine — runs under this derived context, so a sink
-	// error cancels the whole remaining run promptly.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	opt.Engine = eng
-	rel := &releaser{pending: make([]*Outcome, len(targets)), sink: sink, cancel: cancel}
 	jobs := make([]engine.Job, len(targets))
 	for i, e := range targets {
-		i, e := i, e
 		jobs[i] = engine.Job{
 			ID:  e.ID,
 			Key: cacheKey(e, opt),
 			Fn: func(ctx context.Context) (any, error) {
 				return e.Run(ctx, opt)
 			},
-			OnDone: func(r engine.Result) {
-				rel.release(i, outcomeOf(e, r))
-			},
 		}
 	}
-	eng.Run(ctx, jobs)
-	return rel.err()
-}
-
-// RunAll executes targets through eng and returns every outcome in target
-// order. It is the buffered form of Stream — same bytes when rendered,
-// whole-run latency — for callers that need the complete result set at
-// once. A nil eng runs the targets serially on the calling goroutine.
-func RunAll(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options) []Outcome {
-	outcomes := make([]Outcome, 0, len(targets))
-	// The collecting sink never errors, so every outcome — including
-	// errored and cancelled ones — is recorded, exactly as before the
-	// streaming refactor.
-	_ = Stream(ctx, eng, targets, opt, func(o Outcome) error {
-		outcomes = append(outcomes, o)
-		return nil
-	})
+	for i, r := range eng.Run(ctx, jobs) {
+		outcomes[i] = outcomeOf(targets[i], r)
+	}
 	return outcomes
 }
 
@@ -113,60 +66,12 @@ func outcomeOf(e Experiment, r engine.Result) Outcome {
 	return o
 }
 
-// releaser is the in-order release buffer behind Stream: completed
-// outcomes park under their target index until every earlier target has
-// been delivered, then flush to the sink in index order. One lock both
-// guards the buffer and serializes sink calls, so delivery order is total
-// no matter which engine worker finishes first.
-type releaser struct {
-	mu      sync.Mutex
-	pending []*Outcome
-	next    int // lowest target index not yet delivered
-	sink    Sink
-	sinkErr error
-	stopped bool
-	cancel  context.CancelFunc // stops outstanding jobs on the first sink error
-}
-
-// release parks outcome i and flushes the contiguous ready prefix.
-func (r *releaser) release(i int, o Outcome) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pending[i] = &o
-	for r.next < len(r.pending) && r.pending[r.next] != nil {
-		out := *r.pending[r.next]
-		r.pending[r.next] = nil // release the document as soon as it is sunk
-		r.next++
-		if r.stopped {
-			continue
-		}
-		if err := r.sink(out); err != nil {
-			r.sinkErr = err
-			r.stopped = true
-			if r.cancel != nil {
-				// Outstanding jobs would only produce dropped results from
-				// here on; cancel them so they stop burning compute. Their
-				// cancelled outcomes still flow through release (keeping the
-				// buffer's accounting exact) but never reach the sink.
-				r.cancel()
-			}
-		}
-	}
-}
-
-// err returns the first sink error, once all jobs have resolved.
-func (r *releaser) err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
-}
-
-// StreamElements is the element-granular form of Stream: instead of
-// releasing whole documents it releases individual report elements — table
-// frames, rows, chart series — in target order, so an experiment's first
-// table row reaches emit the moment it is produced (for simulator figures,
-// the moment its engine sub-job resolves), not when the whole experiment
-// does.
+// StreamElements executes targets through eng and releases their report
+// elements — table frames, rows, chart series — to emit in target order,
+// so an experiment's first table row reaches emit the moment it is
+// produced (for simulator figures, the moment its engine sub-job
+// resolves), not when the whole experiment does. It is the one rendering
+// pipeline behind the CLI's `run` and the HTTP /run endpoint.
 //
 // Each target runs with opt.Emit wired into an in-order element release
 // buffer: the head target's elements forward to emit live, later targets'
@@ -182,24 +87,35 @@ func (r *releaser) err() error {
 // later elements are dropped, the derived context is cancelled so
 // outstanding jobs stop computing, and StreamElements returns it.
 // Cancelled jobs are never cached, so an aborted stream cannot poison
-// later runs. Unlike Stream's sink, emit has no per-document error
-// envelope: a target that fails after emitting (its elements already
-// forwarded) leaves a truncated stream behind, exactly like a mid-stream
-// renderer failure.
+// later runs (a disconnected HTTP client must not keep burning simulator
+// time). There is no per-document error envelope: a target that fails
+// after emitting (its elements already forwarded) leaves a truncated
+// stream behind, exactly like a mid-stream renderer failure.
 //
 // A nil eng runs the targets serially on the calling goroutine, emitting
-// live and stopping on the first error.
+// live and stopping on the first error; like an engine job, a target
+// whose context is already done fails without running.
 func StreamElements(ctx context.Context, eng *engine.Engine, targets []Experiment, opt Options, emit func(report.Element) error) error {
 	if eng == nil {
 		opt.Engine = nil
 		for _, e := range targets {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
+			}
 			emitted := false
+			var emitErr error
 			o := opt
 			o.Emit = func(el report.Element) error {
 				emitted = true
-				return emit(el)
+				if emitErr == nil {
+					emitErr = emit(el)
+				}
+				return emitErr
 			}
 			doc, err := e.Run(ctx, o)
+			if emitErr != nil {
+				return emitErr
+			}
 			if err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
@@ -227,7 +143,6 @@ func StreamElements(ctx context.Context, eng *engine.Engine, targets []Experimen
 	}
 	jobs := make([]engine.Job, len(targets))
 	for i, e := range targets {
-		i, e := i, e
 		o := opt
 		o.Emit = func(el report.Element) error { return rel.elem(i, el) }
 		jobs[i] = engine.Job{

@@ -10,8 +10,8 @@ import (
 	"mergescale/internal/report"
 )
 
-// renderBuffered renders outcomes the CLI's buffered way: Begin, Replay
-// each document, End.
+// renderBuffered renders buffered outcomes: Begin, Replay each document,
+// End — the reference StreamElements must match byte for byte.
 func renderBuffered(t *testing.T, format string, outcomes []Outcome) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -109,22 +109,28 @@ func TestStreamElementsCachedReplay(t *testing.T) {
 	}
 }
 
-// TestStreamElementsEmitError: a failing emit hook fails the stream and
-// stops delivery, mirroring the outcome-granular sink-error contract.
+// TestStreamElementsEmitError: a failing emit hook fails the stream, and
+// emit is never called again once it has returned an error — whether it
+// fails on the first element or mid-stream, serially or on the engine.
 func TestStreamElementsEmitError(t *testing.T) {
 	boom := errors.New("client gone")
 	targets := Registry()[:3]
-	for _, eng := range []*engine.Engine{nil, engine.New(engine.Config{Workers: 4})} {
-		calls := 0
-		err := StreamElements(context.Background(), eng, targets, quick, func(report.Element) error {
-			calls++
-			return boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("StreamElements returned %v, want emit error", err)
-		}
-		if calls == 0 {
-			t.Fatal("emit hook never called")
+	for _, failAt := range []int{1, 5} {
+		for _, eng := range []*engine.Engine{nil, engine.New(engine.Config{Workers: 4})} {
+			calls := 0
+			err := StreamElements(context.Background(), eng, targets, quick, func(report.Element) error {
+				calls++
+				if calls >= failAt {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("failAt=%d engine=%v: StreamElements returned %v, want emit error", failAt, eng != nil, err)
+			}
+			if calls != failAt {
+				t.Fatalf("failAt=%d engine=%v: emit called %d times, want exactly %d", failAt, eng != nil, calls, failAt)
+			}
 		}
 	}
 }

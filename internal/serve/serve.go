@@ -1,13 +1,14 @@
 // Package serve is the HTTP serving front end over the streaming
 // experiment pipeline: one process owns a shared engine.Engine (and
 // optionally a diskcache.Store underneath it), and every HTTP client gets
-// its own experiments.Stream sink writing straight into the chunked
-// response body. Concurrent identical requests collapse into one
+// its own experiments.StreamElements stream writing straight into the
+// chunked response body. Concurrent identical requests collapse into one
 // computation via the engine's singleflight cache, a warm disk cache
 // serves whole runs without executing a single job, and a client that
 // disconnects mid-stream cancels its outstanding jobs through the
-// request context (and through the sink-error cancellation in
-// experiments.Stream), so abandoned requests stop burning simulator time.
+// request context (and through the emit-error cancellation in
+// experiments.StreamElements), so abandoned requests stop burning
+// simulator time.
 //
 // Endpoints:
 //
@@ -45,10 +46,9 @@
 // exposes request counts and latency histograms per endpoint/format plus
 // the engine, disk-cache and render-cache counters.
 //
-// The /run body is byte-identical to the mergescale CLI's buffered output
-// for the same format: the handler drives the exact renderer pipeline the
-// CLI uses, flushing after each experiment so clients see artifacts as
-// they resolve, in registry order.
+// The /run body is byte-identical to the mergescale CLI's output for the
+// same format: the handler drives the exact renderer pipeline the CLI
+// uses, flushing as rows resolve, in registry order.
 package serve
 
 import (
@@ -80,8 +80,8 @@ type Server struct {
 	// informational here — the engine already consults the store through
 	// its own Config.Store wiring.
 	Store *diskcache.Store
-	// Opt is applied to every run (Quick, UseDuration). Opt.Engine is
-	// overwritten per request by experiments.Stream.
+	// Opt is applied to every run (Quick, UseDuration). Opt.Engine and
+	// Opt.Emit are overwritten per request by experiments.StreamElements.
 	Opt experiments.Options
 	// Experiments is the registry served; nil selects
 	// experiments.Registry().
@@ -147,7 +147,7 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Handler builds the route table. The returned handler is safe for
-// concurrent use; every /run request gets its own renderer and sink.
+// concurrent use; every /run request gets its own renderer and stream.
 // Every route is instrumented for /metrics; /experiments, /stats and
 // /run additionally pass the rate limiter, and /run the stream cap —
 // /healthz and /metrics stay unconditioned so probes and scrapes answer
@@ -372,9 +372,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // handleRun streams one experiment (or the whole registry) through the
-// requested renderer backend. The response is chunked: each experiment's
-// rendering is flushed the moment experiments.Stream releases it, so the
-// client reads artifacts incrementally while later ones still compute.
+// requested renderer backend. The response is chunked: each element is
+// flushed the moment experiments.StreamElements releases it, so the
+// client reads rows incrementally while later ones still compute.
 // Errors before the first body byte (an immediately failing experiment, a
 // renderer that errors on Begin) still get a clean 500; errors after the
 // first byte abort the connection (http.ErrAbortHandler) — a truncated

@@ -25,10 +25,10 @@ import (
 
 var quick = experiments.Options{Quick: true}
 
-// bufferedCLI renders targets exactly the way the mergescale CLI does in
-// its default buffered mode: RunAll, then Begin / per-document Replay /
-// End on the chosen backend. HTTP bodies are compared against this.
-func bufferedCLI(t *testing.T, eng *engine.Engine, targets []experiments.Experiment, opt experiments.Options, format string) []byte {
+// bufferedRender is the buffered reference rendering: RunAll, then
+// Begin / per-document Replay / End on the chosen backend. HTTP bodies
+// (and the CLI, in cmd/mergescale) must match it byte for byte.
+func bufferedRender(t *testing.T, eng *engine.Engine, targets []experiments.Experiment, opt experiments.Options, format string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r, err := report.NewRenderer(format, &buf)
@@ -104,8 +104,9 @@ func TestExperimentsListing(t *testing.T) {
 }
 
 // TestRunFormatsMatchBufferedCLI is the byte-identity guarantee: streaming
-// an experiment over chunked HTTP produces exactly the bytes the CLI's
-// buffered renderer emits, for every backend.
+// an experiment over chunked HTTP produces exactly the bytes of the
+// buffered reference rendering (which the CLI also matches), for every
+// backend.
 func TestRunFormatsMatchBufferedCLI(t *testing.T) {
 	target, err := experiments.ByID("table3")
 	if err != nil {
@@ -116,13 +117,13 @@ func TestRunFormatsMatchBufferedCLI(t *testing.T) {
 	defer ts.Close()
 
 	for _, format := range report.Formats() {
-		want := bufferedCLI(t, engine.New(engine.Config{Workers: 1}), []experiments.Experiment{target}, quick, format)
+		want := bufferedRender(t, engine.New(engine.Config{Workers: 1}), []experiments.Experiment{target}, quick, format)
 		status, body := get(t, ts, "/run/table3?format="+format)
 		if status != http.StatusOK {
 			t.Fatalf("%s: status = %d, want 200", format, status)
 		}
 		if !bytes.Equal(body, want) {
-			t.Errorf("%s: HTTP body differs from buffered CLI output (%d vs %d bytes)", format, len(body), len(want))
+			t.Errorf("%s: HTTP body differs from the buffered reference (%d vs %d bytes)", format, len(body), len(want))
 		}
 	}
 
@@ -348,7 +349,7 @@ func TestClientDisconnectCancelsJobs(t *testing.T) {
 
 // TestWarmDiskCacheRunAllOverHTTP: with a warm disk cache under the
 // engine, GET /run/all must execute zero jobs, perform zero simulator
-// machine runs, and serve bytes identical to the buffered CLI rendering.
+// machine runs, and serve bytes identical to the buffered reference.
 func TestWarmDiskCacheRunAllOverHTTP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -359,7 +360,7 @@ func TestWarmDiskCacheRunAllOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bufferedCLI(t, engine.New(engine.Config{Workers: 2, Store: cold}), experiments.Registry(), quick, "text")
+	want := bufferedRender(t, engine.New(engine.Config{Workers: 2, Store: cold}), experiments.Registry(), quick, "text")
 
 	warm, err := diskcache.Open(dir, diskcache.Options{})
 	if err != nil {
@@ -382,7 +383,7 @@ func TestWarmDiskCacheRunAllOverHTTP(t *testing.T) {
 		t.Errorf("warm /run/all executed %d jobs, want 0", got)
 	}
 	if !bytes.Equal(body, want) {
-		t.Errorf("warm /run/all body differs from buffered CLI output (%d vs %d bytes)", len(body), len(want))
+		t.Errorf("warm /run/all body differs from the buffered reference (%d vs %d bytes)", len(body), len(want))
 	}
 
 	// /stats must expose the disk traffic that made this possible.

@@ -14,7 +14,9 @@
 // The simulator is not cycle-accurate with respect to any real machine; it
 // reproduces the *relative growth* of merging-phase time with core count,
 // which is the quantity the paper extracts from SESC. Simulation is fully
-// deterministic: ties between cores are broken by core id.
+// deterministic: ties between cores are broken by core id. Each run is one
+// single-threaded event loop; concurrency lives a layer up, where the
+// engine runs independent machine configurations as separate jobs.
 package sim
 
 import (

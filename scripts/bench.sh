@@ -15,7 +15,8 @@
 #                      benchtime across commits.
 #   BENCH_sim.json     simulator hot-path microbenchmarks (directory ops,
 #                      L1 hit loop, access mix, full Machine.Run per
-#                      workload; package ./internal/sim)
+#                      workload at 8, 64 and 256 cores; package
+#                      ./internal/sim)
 #   BENCH_contend.json contended-workload benchmarks (package
 #                      ./internal/workload/contend): Machine.Run at p=8
 #                      under joined (invalidation-storm) vs split
@@ -35,8 +36,7 @@
 #                      Sweep points are plain function calls with no
 #                      cache, so one row covers it; the first-row/total
 #                      gap is the streaming win (the first row ships
-#                      before later points are computed). The header
-#                      records CPU model, nproc and GOMAXPROCS.
+#                      before later points are computed).
 #   BENCH_faults.json  graceful-degradation cost: the BENCH_serve warm
 #                      replay repeated at 0%, 1%, and 10% injected
 #                      disk-store fault rates (-faults get.err/put.err
@@ -59,7 +59,9 @@
 #   BENCH_CONTEND_PATTERN  contend benchmark regexp (default
 #                      BenchmarkContend)
 #   BENCH_CONTEND_TIME contend -benchtime (default 20x)
-#   BENCH_COUNT        -count value       (default 1)
+#   BENCH_COUNT        -count value       (default 5: every go-bench row
+#                      records the median of that many samples plus
+#                      their min and max)
 #   BENCH_SERVE_REQUESTS     load trace length          (default 400)
 #   BENCH_SERVE_CONCURRENCY  load closed-loop workers   (default 8)
 #   BENCH_FAULTS_REQUESTS    faults-suite trace length  (default 200)
@@ -68,16 +70,18 @@
 #                      regenerate one JSON file without paying for the
 #                      rest
 #
-# Note the CI/dev container exposes 1 CPU, where engine and serial times
+# Every BENCH file's header records the hardware it ran on (CPU model,
+# nproc, GOMAXPROCS) next to the Go version: compare rows only at equal
+# protocol and hardware. On 1-2 CPU machines engine and serial times
 # converge (that delta is the fan-out overhead bound); judge speedups on
 # real multicore hardware (see TestRegistryEngineSpeedup). The allocs/op
-# columns are CPU-count independent and are the numbers the allocation
-# budget (ISSUE 5) is graded on.
+# columns are CPU-count independent and are what the allocation budget
+# is graded on.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-count=${BENCH_COUNT:-1}
+count=${BENCH_COUNT:-5}
 suites=${BENCH_SUITES:-engine sim contend sweep serve faults}
 
 want_suite() {
@@ -99,14 +103,41 @@ run_suite() {
     go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" -benchmem "$pkg" | tee -a "$tmp"
 }
 
+# hardware_fields — the JSON header lines naming the machine a BENCH
+# file was recorded on: CPU model, online CPUs, and GOMAXPROCS (which the
+# Go runtime defaults to the online CPU count).
+hardware_fields() {
+    cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+    ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+    printf '  "cpu": "%s",\n  "nproc": %s,\n  "gomaxprocs": %s,' "${cpu:-unknown}" "$ncpu" "${GOMAXPROCS:-$ncpu}"
+}
+
+# add_hardware FILE — inserts hardware_fields after FILE's "goarch"
+# header line (for BENCH files written by another program).
+add_hardware() {
+    HW=$(hardware_fields) awk '{ print } /^  "goarch": / { print ENVIRON["HW"] }' "$1" > "$1.tmp"
+    mv "$1.tmp" "$1"
+}
+
 # emit_json OUT — converts the accumulated `BenchmarkName-P  iters  ns/op
 # B/op  allocs/op` lines in $tmp into OUT as JSON, one row per benchmark
-# per protocol. (On 1-CPU machines go omits the -P suffix; fall back to
-# the CPU count.)
+# per protocol. A row's ns_per_op, bytes_per_op and allocs_per_op are
+# medians over its -count samples; ns_min/ns_max give the spread. (On
+# 1-CPU machines go omits the -P suffix; fall back to the CPU count.)
 emit_json() {
     out=$1
     ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-    awk -v goversion="$(go env GOVERSION)" -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" -v defprocs="$ncpu" '
+    HW=$(hardware_fields) awk -v goversion="$(go env GOVERSION)" -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" -v defprocs="$ncpu" '
+# num formats a number for JSON: integers verbatim, fractions to 2 places.
+function num(x) { return (x == int(x)) ? sprintf("%.0f", x) : sprintf("%.2f", x) }
+# stat sorts the c samples of field f for key k into s[1..c] and returns
+# their median.
+function stat(f, k, c,   i, j, t) {
+    for (i = 1; i <= c; i++) s[i] = val[f, k, i] + 0
+    for (i = 2; i <= c; i++)
+        for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+    return (c % 2) ? s[(c + 1) / 2] : (s[c / 2] + s[c / 2 + 1]) / 2
+}
 BEGIN { n = 0; bt = "" }
 /^##benchtime=/ { bt = $0; sub(/^##benchtime=/, "", bt); next }
 /^Benchmark/ {
@@ -116,24 +147,30 @@ BEGIN { n = 0; bt = "" }
         procs = name; sub(/^.*-/, "", procs)
         sub(/-[0-9]+$/, "", name)
     }
-    iters = $2
-    ns = ""; bytes = ""; allocs = ""
+    k = name SUBSEP bt
+    if (!(k in cnt)) { order[n++] = k; kname[k] = name; kbt[k] = bt; kprocs[k] = procs; kiters[k] = $2 }
+    c = ++cnt[k]
     for (i = 3; i < NF; i++) {
-        if ($(i + 1) == "ns/op") ns = $i
-        if ($(i + 1) == "B/op") bytes = $i
-        if ($(i + 1) == "allocs/op") allocs = $i
+        if ($(i + 1) == "ns/op") val["ns", k, c] = $i
+        if ($(i + 1) == "B/op") { val["b", k, c] = $i; hasb[k] = 1 }
+        if ($(i + 1) == "allocs/op") { val["a", k, c] = $i; hasa[k] = 1 }
     }
-    rec = sprintf("    {\"name\": \"%s\", \"benchtime\": \"%s\", \"procs\": %s, \"iterations\": %s, \"ns_per_op\": %s", name, bt, procs, iters, ns)
-    if (bytes != "")  rec = rec sprintf(", \"bytes_per_op\": %s", bytes)
-    if (allocs != "") rec = rec sprintf(", \"allocs_per_op\": %s", allocs)
-    recs[n++] = rec "}"
 }
 END {
     if (n == 0) { print "bench.sh: no benchmark lines parsed" > "/dev/stderr"; exit 1 }
     print "{"
     printf "  \"go\": \"%s\",\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n", goversion, goos, goarch
+    print ENVIRON["HW"]
     print "  \"benchmarks\": ["
-    for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i < n - 1 ? "," : "")
+    for (r = 0; r < n; r++) {
+        k = order[r]; c = cnt[k]
+        med = stat("ns", k, c)
+        rec = sprintf("    {\"name\": \"%s\", \"benchtime\": \"%s\", \"procs\": %s, \"iterations\": %s, \"samples\": %d, \"ns_per_op\": %s, \"ns_min\": %s, \"ns_max\": %s",
+            kname[k], kbt[k], kprocs[k], kiters[k], c, num(med), num(s[1]), num(s[c]))
+        if (k in hasb) rec = rec sprintf(", \"bytes_per_op\": %s", num(stat("b", k, c)))
+        if (k in hasa) rec = rec sprintf(", \"allocs_per_op\": %s", num(stat("a", k, c)))
+        printf "%s}%s\n", rec, (r < n - 1 ? "," : "")
+    }
     print "  ]"
     print "}"
 }' "$tmp" > "$out"
@@ -151,11 +188,6 @@ if want_suite engine; then
 fi
 
 if want_suite sim; then
-    # The sim suite includes the serial-vs-parallel pairs: each
-    # BenchmarkSimRun<W>256 row has a ...256Par4 twin running the same
-    # program through RunParallel at 4 workers. Same-hardware pairs are
-    # the tracked intra-run speedup; on 1-CPU containers the Par4 rows
-    # measure rendezvous overhead instead.
     : > "$tmp"
     run_suite ./internal/sim "${BENCH_SIM_PATTERN:-BenchmarkSim}" "${BENCH_SIM_TIME:-100x}"
     emit_json BENCH_sim.json
@@ -196,16 +228,12 @@ EOF
         cat "$sweepdir/sweep.timing" >&2
         exit 1
     fi
-    cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
-    ncpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
     cat > BENCH_sweep.json <<EOF
 {
   "go": "$(go env GOVERSION)",
   "goos": "$(go env GOOS)",
   "goarch": "$(go env GOARCH)",
-  "cpu": "${cpu:-unknown}",
-  "nproc": $ncpu,
-  "gomaxprocs": ${GOMAXPROCS:-$ncpu},
+$(hardware_fields)
   "grid": "2 apps x 2 budgets x 16 rs",
   "points": $points,
   "first_row_s": $first,
@@ -258,6 +286,7 @@ if want_suite serve; then
         -concurrency "${BENCH_SERVE_CONCURRENCY:-8}" \
         -requests "${BENCH_SERVE_REQUESTS:-400}" \
         -out BENCH_serve.json
+    add_hardware BENCH_serve.json
     kill "$serve_pid"
     wait "$serve_pid" 2>/dev/null || true
     serve_pid=""
@@ -345,6 +374,7 @@ if want_suite faults; then
   "go": "$(go env GOVERSION)",
   "goos": "$(go env GOOS)",
   "goarch": "$(go env GOARCH)",
+$(hardware_fields)
   "protocol": "powerlaw seed 1, concurrency ${BENCH_SERVE_CONCURRENCY:-8}, text+json, ${BENCH_FAULTS_REQUESTS:-200} requests, warm -quick cache, faults seed=1 get.err/put.err at rate",
   "rates": [$rows
   ]
