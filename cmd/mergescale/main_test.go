@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,14 +63,23 @@ func TestRunQuickWorkload(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossWorkers compares CLI output at -workers 1 vs 8.
+// TestRunDeterministicAcrossWorkers compares `-quick run all` at -workers
+// 1 and 8 under GOMAXPROCS 4, so the engine-backed experiments (table2,
+// table4, the simulator figures, ext-contend) really run their sub-jobs
+// concurrently in the second pass.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var serial, parallel, errOut bytes.Buffer
-	if code := run([]string{"-quick", "-workers", "1", "run", "fig4"}, &serial, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-workers", "1", "run", "all"}, &serial, &errOut); code != 0 {
 		t.Fatalf("serial run failed: %s", errOut.String())
 	}
-	if code := run([]string{"-quick", "-workers", "8", "run", "fig4"}, &parallel, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-workers", "8", "run", "all"}, &parallel, &errOut); code != 0 {
 		t.Fatalf("parallel run failed: %s", errOut.String())
+	}
+	for _, id := range []string{"table2", "table4", "ext-contend"} {
+		if !strings.Contains(serial.String(), "== "+id+":") {
+			t.Fatalf("serial output lacks %s", id)
+		}
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
 		t.Fatal("-workers 8 output differs from -workers 1")

@@ -11,13 +11,16 @@
 //
 // # Concurrency model
 //
-// Nested submission is safe: when every worker slot is busy (e.g.
-// simulator runs sharded from inside an experiment job), Run executes the job inline on
-// the calling goroutine instead of queueing, so a job waiting for its own
-// sub-jobs can never deadlock the pool. The Run caller therefore counts as
-// one of the Config.Workers workers, and Workers: 1 is exactly serial
-// execution on the calling goroutine. Keep this caller-runs-inline
-// invariant when extending the engine.
+// Run schedules by pull: the calling goroutine and the helpers it
+// recruits into free worker slots each claim the next unclaimed job from
+// a shared counter. The Run caller counts as one of the Config.Workers
+// workers and always works its own list, so nested submission is safe
+// (e.g. simulator runs sharded from inside an experiment job): a job
+// waiting for its own sub-jobs can never deadlock the pool, even when no
+// slot is free. Workers: 1 is exactly serial execution on the calling
+// goroutine. A caller that has drained its list gives its slot back while
+// its helpers finish, and takes it back without blocking. Keep the
+// caller-is-a-worker invariant when extending the engine.
 //
 // # Caching
 //

@@ -48,14 +48,13 @@ type Job struct {
 	// OnDone, when non-nil, is invoked exactly once with the job's Result
 	// as soon as it is known — including cached, errored, and cancelled
 	// results — and always before Run returns. It runs on whichever
-	// goroutine resolved the job: a pool worker, or (per the caller-runs-
-	// inline invariant) the goroutine that called Run. Callbacks for
-	// different jobs may fire concurrently and in any completion order, so
-	// they must synchronize shared state themselves and should return
-	// quickly — a slow callback occupies a worker slot. This is the
-	// completion-notification hook the streaming experiment pipeline is
-	// built on: consumers learn of each result without polling Run's
-	// return slice.
+	// worker resolved the job: the goroutine that called Run or a helper
+	// it recruited. Callbacks for different jobs may fire concurrently and
+	// in any completion order, so they must synchronize shared state
+	// themselves and should return quickly — a slow callback occupies a
+	// worker slot. This is the completion-notification hook the streaming
+	// experiment pipeline is built on: consumers learn of each result
+	// without polling Run's return slice.
 	OnDone func(Result)
 }
 
@@ -72,7 +71,7 @@ type Stats struct {
 	Hits        uint64 // jobs satisfied by a cached or in-flight computation (memory)
 	Misses      uint64 // cacheable jobs that missed the memory cache
 	Executed    uint64 // job functions actually invoked
-	Inline      uint64 // jobs run on the submitting goroutine because the pool was saturated (including nested Run calls from inside a job)
+	Inline      uint64 // jobs run by the goroutine that called Run rather than by a recruited helper (all of them at Workers=1)
 	StoreHits   uint64 // memory misses satisfied by the persistent store
 	StoreMisses uint64 // store lookups that fell through to computation
 }
@@ -81,9 +80,13 @@ type Stats struct {
 // not usable; call New.
 type Engine struct {
 	workers int
-	sem     chan struct{}
 	noCache bool
 	store   Store
+
+	// active counts goroutines holding a worker slot: Run callers and
+	// recruited helpers. Helpers are recruited only while it is below
+	// workers; callers take a slot without waiting (see Run).
+	active atomic.Int64
 
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
@@ -108,19 +111,22 @@ type cacheEntry struct {
 	err      error
 }
 
+// slotKey marks a job context: a goroutine running a job of e already
+// holds one of e's worker slots, so a nested Run must not take another.
+// A Run made with a job's ctx from another goroutine therefore runs
+// without a slot of its own; jobs submit from their own goroutine.
+type slotKey struct{ e *Engine }
+
 // New creates an engine with cfg.Workers slots (GOMAXPROCS when <= 0).
+// The goroutine calling Run is one of the workers, so Workers=1 is fully
+// serial on the calling goroutine.
 func New(cfg Config) *Engine {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	// The goroutine calling Run participates as one of the w workers (it
-	// executes jobs inline whenever no pool slot is free), so only w-1
-	// extra goroutines may run at once. Workers=1 is therefore fully
-	// serial on the calling goroutine.
 	e := &Engine{
 		workers: w,
-		sem:     make(chan struct{}, w-1),
 		noCache: cfg.DisableCache,
 		cache:   map[string]*cacheEntry{},
 	}
@@ -151,34 +157,97 @@ func (e *Engine) Stats() Stats {
 // nested calls from inside job functions. Jobs carrying an OnDone hook are
 // additionally reported one by one, in completion order, as they resolve
 // (see Job.OnDone); every hook has returned by the time Run does.
+//
+// Scheduling is pull-based: the caller and the helpers it recruits claim
+// the next unclaimed job index until the list is drained, so a worker
+// that finishes a short job takes the next one at once. A worker that
+// claims a job with more left behind it recruits a helper if a slot is
+// free. A caller that has drained its list gives its slot back while its
+// helpers finish, so another Run — typically a helper's nested one — can
+// recruit it.
 func (e *Engine) Run(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		select {
-		case e.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-e.sem }()
-				results[i] = e.exec(ctx, jobs[i])
-				if jobs[i].OnDone != nil {
-					jobs[i].OnDone(results[i])
-				}
-			}(i)
-		default:
-			// Pool saturated (or a nested Run inside a worker): execute on
-			// this goroutine so submitters can never deadlock waiting for
-			// their own sub-jobs.
-			e.inline.Add(1)
-			results[i] = e.exec(ctx, jobs[i])
-			if jobs[i].OnDone != nil {
-				jobs[i].OnDone(results[i])
-			}
+	held := ctx.Value(slotKey{e}) != nil
+	if !held {
+		// The caller is always a worker, so it takes a slot without
+		// waiting: concurrent top-level callers may overshoot Workers, and
+		// nested submission can never wedge waiting for its own children.
+		e.active.Add(1)
+		ctx = context.WithValue(ctx, slotKey{e}, true)
+	}
+	r := &run{e: e, ctx: ctx, jobs: jobs, results: results}
+	r.work(true)
+	e.active.Add(-1)
+	r.wg.Wait()
+	if held {
+		// Take the slot back without blocking: every slot may be held by
+		// goroutines waiting on a singleflight entry this goroutine's job
+		// computes, so a blocking re-acquire could deadlock. The count may
+		// briefly exceed Workers; nothing is recruited until it drops, and
+		// the next helper to finish a job steps down.
+		e.active.Add(1)
+	}
+	return results
+}
+
+// run is the shared state of one Run call: its workers claim job indices
+// from next.
+type run struct {
+	e       *Engine
+	ctx     context.Context
+	jobs    []Job
+	results []Result
+	next    atomic.Int64
+	wg      sync.WaitGroup
+}
+
+// work claims and executes jobs until none is left. caller marks the
+// goroutine that called Run (counted in Stats.Inline). A helper also
+// stops between jobs while slots are oversubscribed; the caller, which
+// never stops early, claims whatever it leaves.
+func (r *run) work(caller bool) {
+	for {
+		if !caller && r.e.active.Load() > int64(r.e.workers) {
+			return
+		}
+		i := int(r.next.Add(1) - 1)
+		if i >= len(r.jobs) {
+			return
+		}
+		if i+1 < len(r.jobs) {
+			r.recruit()
+		}
+		if caller {
+			r.e.inline.Add(1)
+		}
+		job := &r.jobs[i]
+		r.results[i] = r.e.exec(r.ctx, *job)
+		if job.OnDone != nil {
+			job.OnDone(r.results[i])
 		}
 	}
-	wg.Wait()
-	return results
+}
+
+// recruit starts a helper on r's list if a slot is free. The recruiting
+// worker is the caller before its Wait or a helper still counted in wg,
+// so the Add never races a Wait on a zero counter.
+func (r *run) recruit() {
+	e := r.e
+	for {
+		n := e.active.Load()
+		if n >= int64(e.workers) {
+			return
+		}
+		if e.active.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		defer e.active.Add(-1)
+		r.work(false)
+	}()
 }
 
 // exec runs one job through the cache.

@@ -47,7 +47,7 @@ func TestJoinedRunsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		// Repeated direct executions (pooled machines, memoized program).
+		// Repeated direct executions (pooled machines, recompiled program).
 		for i := 0; i < 2; i++ {
 			got, err := workload.RunSim(w, ds, mcfg, 1)
 			if err != nil {

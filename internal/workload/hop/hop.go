@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mergescale/internal/shapepool"
 
@@ -101,10 +102,12 @@ func (gr *grid) cellCoord(cell int, out []int) {
 // Run executes hop natively with instrumented phases.
 
 // runScratch holds Run's per-run working arrays, pooled by shape
-// ([n, cells, threads, d]) so the dozens of native runs an experiment
-// suite performs reuse their buffers instead of reallocating megabytes of
-// scratch per run. Everything is zeroed on acquire; only Result.Group
-// (returned to the caller) is freshly allocated per run.
+// ([n, cells, threads, d, mask words]) so the dozens of native runs an
+// experiment suite performs reuse their buffers instead of reallocating
+// megabytes of scratch per run. Everything but sorted, inRange and
+// density is zeroed on acquire; those three are fully overwritten by
+// every run. Only Result.Group (returned to the caller) is freshly
+// allocated per run.
 type runScratch struct {
 	partial          [][]int32
 	cellIdx, counts  []int32
@@ -114,17 +117,21 @@ type runScratch struct {
 	density          []float64
 	parOps           []float64
 	min, scale, maxv []float64
+	sorted           []float64 // coordinates in cell-sorted order, n*d
+	inRange          []uint64  // words per sorted position; bit k: window candidate k is within the radius
 }
 
-var scratchPools shapepool.Registry[[4]int]
+var scratchPools shapepool.Registry[[5]int]
 
-func acquireScratch(n, cells, threads, d int) *runScratch {
-	sp := scratchPools.For([4]int{n, cells, threads, d})
+func acquireScratch(n, cells, threads, d, words int) *runScratch {
+	sp := scratchPools.For([5]int{n, cells, threads, d, words})
 	if s, _ := sp.Get().(*runScratch); s != nil {
 		s.clear()
 		return s
 	}
 	s := &runScratch{
+		sorted:  make([]float64, n*d),
+		inRange: make([]uint64, n*words),
 		partial: make([][]int32, threads),
 		cellIdx: make([]int32, n),
 		counts:  make([]int32, cells+1),
@@ -145,13 +152,13 @@ func acquireScratch(n, cells, threads, d int) *runScratch {
 	return s
 }
 
-func (s *runScratch) release(n, cells, threads, d int) {
-	scratchPools.For([4]int{n, cells, threads, d}).Put(s)
+func (s *runScratch) release(n, cells, threads, d, words int) {
+	scratchPools.For([5]int{n, cells, threads, d, words}).Put(s)
 }
 
-// clear zeroes every buffer (memclr — no allocations); the accumulating
-// arrays (partial counts, density, parOps, counts) rely on it, the rest is
-// cleared for uniformity.
+// clear zeroes every buffer a run does not fully overwrite (memclr — no
+// allocations); the accumulating arrays (partial counts, parOps, counts)
+// rely on it, the rest is cleared for uniformity.
 func (s *runScratch) clear() {
 	for t := range s.partial {
 		clear(s.partial[t])
@@ -163,7 +170,6 @@ func (s *runScratch) clear() {
 	clear(s.parent)
 	clear(s.posOf)
 	clear(s.root)
-	clear(s.density)
 	clear(s.parOps)
 	clear(s.min)
 	clear(s.scale)
@@ -203,8 +209,23 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	for j := 0; j < d; j++ {
 		gr.cells *= gr.g
 	}
-	scr := acquireScratch(n, gr.cells, threads, d)
-	defer scr.release(n, gr.cells, threads, d)
+	maxNbr := cfg.MaxNeighbors
+	if maxNbr <= 0 {
+		maxNbr = 64
+	}
+	// Candidates for a point at sorted position s are the window
+	// [s-w, s+w] of the cell-sorted order: the grid sort places spatial
+	// neighbors next to each other, so the window approximates HOP's
+	// Ndens nearest neighbors with bounded work, and overlapping windows
+	// let hops chain toward each blob's density peak. Candidate k of the
+	// window (self skipped) owns bit k of the point's in-range mask.
+	w := maxNbr / 2
+	if w < 1 {
+		w = 1
+	}
+	words := (2*w + 63) / 64
+	scr := acquireScratch(n, gr.cells, threads, d, words)
+	defer scr.release(n, gr.cells, threads, d, words)
 	gr.min = scr.min
 	gr.scale = scr.scale
 	maxv := scr.maxv
@@ -298,28 +319,17 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	prof.AddWork(trace.SecSerial, float64(gr.cells+n))
 
 	// ---- parallel: density estimation over neighbor cells, then hop to
-	// the densest neighbor. Work is counted exactly per thread.
+	// the densest neighbor. Work is counted exactly per thread. density
+	// and inRange are indexed by sorted position; parent by point.
+	sorted := scr.sorted
 	density := scr.density
+	inRange := scr.inRange
 	parent := scr.parent
 	radius2 := 0.0
 	for j := 0; j < d; j++ {
 		radius2 += gr.scale[j] * gr.scale[j]
 	}
-	maxNbr := cfg.MaxNeighbors
-	if maxNbr <= 0 {
-		maxNbr = 64
-	}
 	parOps := scr.parOps
-
-	// Candidates for a point at sorted position s are the window
-	// [s-w, s+w] of the cell-sorted order: the grid sort places spatial
-	// neighbors next to each other, so the window approximates HOP's
-	// Ndens nearest neighbors with bounded work, and overlapping windows
-	// let hops chain toward each blob's density peak.
-	w := maxNbr / 2
-	if w < 1 {
-		w = 1
-	}
 	window := func(s int) (int, int) {
 		lo := s - w
 		if lo < 0 {
@@ -335,27 +345,44 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	if timing {
 		tPar = prof.StartTimer(trace.SecParallel)
 	}
+	// Gather the coordinates into cell-sorted order so each window scan
+	// reads contiguous memory.
+	pool.For(n, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			copy(sorted[s*d:(s+1)*d], ds.Point(int(gr.order[s])))
+		}
+	})
+	// Density pass: each density sums its in-range candidates in window
+	// order in a register; the hop pass reuses the in-range mask.
 	pool.For(n, func(id, lo, hi int) {
 		ops := 0.0
 		for s := lo; s < hi; s++ {
-			self := int(gr.order[s])
-			pt := ds.Point(self)
+			pt := sorted[s*d : (s+1)*d]
+			mask := inRange[s*words : (s+1)*words]
+			clear(mask)
 			wlo, whi := window(s)
+			den := 0.0
 			for c := wlo; c < whi; c++ {
 				if c == s {
 					continue
 				}
-				op := ds.Point(int(gr.order[c]))
+				op := sorted[c*d : (c+1)*d]
 				dist := 0.0
 				for j := 0; j < d; j++ {
 					diff := pt[j] - op[j]
 					dist += diff * diff
 				}
-				ops += float64(3*d + 2)
 				if dist <= radius2 {
-					density[self] += 1 / (1 + dist)
+					den += 1 / (1 + dist)
+					k := c - s + w
+					if c > s {
+						k--
+					}
+					mask[k>>6] |= 1 << (k & 63)
 				}
 			}
+			density[s] = den
+			ops += float64((whi - wlo - 1) * (3*d + 2))
 		}
 		parOps[id] += ops
 	})
@@ -363,36 +390,32 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		tPar.Stop()
 	}
 
-	// Hop pass: each point adopts its densest in-range candidate.
+	// Hop pass: each point adopts its densest in-range candidate, read
+	// from the density pass's mask instead of recomputing distances. The
+	// operation count still charges every candidate's distance.
 	if timing {
 		tPar = prof.StartTimer(trace.SecParallel)
 	}
 	pool.For(n, func(id, lo, hi int) {
 		ops := 0.0
 		for s := lo; s < hi; s++ {
-			self := int(gr.order[s])
-			pt := ds.Point(self)
-			best, bestDen := int32(self), density[self]
-			wlo, whi := window(s)
-			for c := wlo; c < whi; c++ {
-				if c == s {
-					continue
-				}
-				o := int(gr.order[c])
-				op := ds.Point(o)
-				dist := 0.0
-				for j := 0; j < d; j++ {
-					diff := pt[j] - op[j]
-					dist += diff * diff
-				}
-				ops += float64(3*d + 3)
-				if dist <= radius2 && (density[o] > bestDen ||
-					(density[o] == bestDen && int32(o) > best)) {
-					bestDen = density[o]
-					best = int32(o)
+			best, bestDen := gr.order[s], density[s]
+			for wi, word := range inRange[s*words : (s+1)*words] {
+				for ; word != 0; word &= word - 1 {
+					c := s - w + wi<<6 + bits.TrailingZeros64(word)
+					if c >= s {
+						c++
+					}
+					o := gr.order[c]
+					if density[c] > bestDen || (density[c] == bestDen && o > best) {
+						bestDen = density[c]
+						best = o
+					}
 				}
 			}
-			parent[self] = best
+			parent[gr.order[s]] = best
+			wlo, whi := window(s)
+			ops += float64((whi - wlo - 1) * (3*d + 3))
 		}
 		parOps[id] += ops
 	})

@@ -35,8 +35,9 @@ echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The -race suite above skips the AllocsPerRun assertions; this pass arms
 # them, failing CI if the steady-state access loop ever allocates again.
 # The pattern covers the per-access, directory and whole-Run gates (zero
-# allocations each).
+# allocations each), and hop's pooled-scratch gate.
 go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
+go test -run 'TestWarmRunAllocatesNoScratch' -count=1 ./internal/workload/hop
 
 echo "== sweep first-row-before-last-point gate =="
 # Element-granular streaming acceptance: on a 64-point sweep the first
@@ -57,6 +58,15 @@ go build -o "$tmp/mergescale" ./cmd/mergescale
 cmp "$tmp/cold.out" "$tmp/warm.out"
 grep -q '0 executed' "$tmp/warm.stats"
 grep -q 'disk:' "$tmp/warm.stats"
+
+echo "== worker-count identity gate =="
+# No disk cache and GOMAXPROCS=4, so at -workers 2 and 8 the experiments
+# and their simulator sub-jobs really run concurrently: every worker count
+# must render the cold run's bytes.
+for workers in 1 2 8; do
+    GOMAXPROCS=4 "$tmp/mergescale" -quick -workers "$workers" run all > "$tmp/workers.$workers.out"
+    cmp "$tmp/cold.out" "$tmp/workers.$workers.out"
+done
 
 echo "== corrupted-cache replay gate =="
 # A run whose every Put is corrupted (single bit flips and truncations)
