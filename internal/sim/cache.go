@@ -173,7 +173,7 @@ const maxSimCores = 256
 
 // sharerSet is a fixed-width bitmask over core ids — the full-map sharer
 // vector of one directory entry. A flat array (not a slice) keeps dirEntry
-// a pure value type, so directory slots still store entries inline and a
+// a pure value type, so directory pages store entries inline and a
 // steady-state directory get allocates nothing.
 type sharerSet [maxSimCores / 64]uint64
 
@@ -203,35 +203,38 @@ type dirEntry struct {
 	owner   int16     // core owning in M/E, -1 when none
 }
 
-// dirSlot is one open-addressing slot: the line address plus its entry,
-// stored by value so a directory miss allocates nothing.
-type dirSlot struct {
-	key  uint64
-	ent  dirEntry
-	live bool
+// dirPageShift sets the directory page size: a page holds the entries of
+// 1<<dirPageShift consecutive line addresses.
+const dirPageShift = 6
+
+// dirPage is the directory record of 64 consecutive lines, stored inline
+// and pointer-free. live marks the lines touched since the page was
+// handed out (bit i for line base+i).
+type dirPage struct {
+	ents [1 << dirPageShift]dirEntry
+	live uint64
 }
 
-// dirInitialSlots sizes a fresh directory table. Must be a power of two;
-// typical runs touch a few thousand lines, so starting at 1k slots keeps
-// early growth cheap without wasting memory on tiny test machines.
-const dirInitialSlots = 1 << 10
+// freshPage is the state of a page no line has touched: every entry has
+// no owner and no sharers.
+var freshPage = func() (p dirPage) {
+	for i := range p.ents {
+		p.ents[i].owner = -1
+	}
+	return p
+}()
 
-// directory tracks L1 residency for every line touched so far. It is a
-// value-type open-addressing (linear probing) hash table: entries are
-// stored inline in the slot array rather than as per-line heap pointers,
-// so the per-access directory lookup is allocation-free in steady state
-// and growth cost amortizes over distinct lines.
-//
-// Pointer-stability contract: the *dirEntry returned by get stays valid
-// until a LATER get call inserts a previously unseen line (which may grow
-// and rehash the table). Machine.access relies on this: it fetches the
-// accessed line's entry first (the only call that may insert), and every
-// subsequent directory lookup during that access is for an address already
-// resident in some cache — and any cached address was inserted into the
-// directory when it was first accessed, so those lookups never insert.
+// directory tracks L1 residency for every line touched so far. Entries
+// live in fixed pages of 64 consecutive lines, found through a map keyed
+// by line>>dirPageShift, so the sequential line runs workloads sweep
+// touch adjacent memory and the map stays small (one key per 64 lines).
+// Pages never move: a *dirEntry returned by get stays valid, and keeps
+// its value, until reset. reset recycles pages through a free list, so a
+// reused directory allocates nothing until it needs more pages than any
+// earlier run did.
 type directory struct {
-	slots []dirSlot
-	n     int // live entries
+	pages map[uint64]*dirPage
+	free  []*dirPage
 }
 
 func newDirectory() *directory {
@@ -241,82 +244,62 @@ func newDirectory() *directory {
 }
 
 func (d *directory) init() {
-	if d.slots == nil {
-		d.slots = make([]dirSlot, dirInitialSlots)
-	}
-	d.reset()
+	d.pages = make(map[uint64]*dirPage)
 }
 
-// reset drops every entry, keeping the grown slot array for reuse.
+// reset drops every entry, moving the pages to the free list for reuse.
 func (d *directory) reset() {
-	clear(d.slots)
-	d.n = 0
+	for _, p := range d.pages {
+		d.free = append(d.free, p)
+	}
+	clear(d.pages)
 }
 
-// dirHash scrambles a line address into a table index seed (Fibonacci
-// hashing: line addresses are sequential per region, so the multiply
-// spreads neighboring lines across the table).
-func dirHash(key uint64) uint64 {
-	return key * 0x9e3779b97f4a7c15
-}
-
-// get returns the entry for lineAddr, inserting a fresh one on first
-// touch. See the pointer-stability contract on directory.
+// get returns the entry for lineAddr; a line not seen before has no owner
+// and no sharers.
 func (d *directory) get(lineAddr uint64) *dirEntry {
-	mask := uint64(len(d.slots) - 1)
-	for i := dirHash(lineAddr) & mask; ; i = (i + 1) & mask {
-		s := &d.slots[i]
-		if s.live {
-			if s.key == lineAddr {
-				return &s.ent
-			}
-			continue
-		}
-		// First touch. Grow before inserting when the table passes 3/4
-		// load — growth happens ONLY on insertion, which is what keeps
-		// previously returned entry pointers stable across lookups of
-		// existing lines.
-		if 4*(d.n+1) > 3*len(d.slots) {
-			d.grow()
-			return d.get(lineAddr)
-		}
-		s.live = true
-		s.key = lineAddr
-		s.ent = dirEntry{owner: -1}
-		d.n++
-		return &s.ent
+	k := lineAddr >> dirPageShift
+	p := d.pages[k]
+	if p == nil {
+		p = d.newPage()
+		d.pages[k] = p
 	}
+	i := lineAddr & (1<<dirPageShift - 1)
+	p.live |= 1 << i
+	return &p.ents[i]
 }
 
-// grow doubles the table and reinserts every live slot.
-func (d *directory) grow() {
-	old := d.slots
-	d.slots = make([]dirSlot, 2*len(old))
-	mask := uint64(len(d.slots) - 1)
-	for i := range old {
-		if !old[i].live {
-			continue
-		}
-		for j := dirHash(old[i].key) & mask; ; j = (j + 1) & mask {
-			if !d.slots[j].live {
-				d.slots[j] = old[i]
-				break
-			}
-		}
+// newPage returns a fresh page, from the free list when it has one.
+func (d *directory) newPage() *dirPage {
+	var p *dirPage
+	if n := len(d.free); n > 0 {
+		p, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		p = new(dirPage)
 	}
+	*p = freshPage
+	return p
 }
 
 // len returns the number of tracked lines (test hook).
-func (d *directory) len() int { return d.n }
+func (d *directory) len() int {
+	n := 0
+	for _, p := range d.pages {
+		n += bits.OnesCount64(p.live)
+	}
+	return n
+}
 
 // maxInv returns the invalidation count of the most-invalidated line — the
 // hot-line statistic surfaced as Counters.HotLineInvalidations. Taking the
-// max (not an address) keeps the result independent of slot/hash order.
+// max (not an address) keeps the result independent of page order.
 func (d *directory) maxInv() uint64 {
 	var peak uint32
-	for i := range d.slots {
-		if d.slots[i].live && d.slots[i].ent.inv > peak {
-			peak = d.slots[i].ent.inv
+	for _, p := range d.pages {
+		for i := range p.ents {
+			if p.ents[i].inv > peak {
+				peak = p.ents[i].inv
+			}
 		}
 	}
 	return uint64(peak)

@@ -14,10 +14,11 @@ type refEntry struct {
 	owner   int16
 }
 
-// TestDirectoryMatchesMapReference drives the open-addressing table and a
-// plain map[uint64]*refEntry through an identical randomized op sequence
-// (get / addSharer / dropSharer / owner writes over a key set that forces
-// several growth cycles) and requires identical observable state.
+// TestDirectoryMatchesMapReference drives the paged directory and a plain
+// map[uint64]*refEntry through an identical randomized op sequence (get /
+// addSharer / dropSharer / owner writes over keys that straddle page
+// boundaries and span thousands of pages) and requires identical
+// observable state.
 func TestDirectoryMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d := newDirectory()
@@ -31,10 +32,19 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 		return e
 	}
 	const cores = 256
-	for i := 0; i < 20000; i++ {
-		// Cluster keys the way line addresses cluster (sequential regions)
-		// while still spanning enough distinct keys to grow the table.
-		line := uint64(rng.Intn(4))<<32 | uint64(rng.Intn(3000))
+	for i := 0; i < 40000; i++ {
+		// Cluster keys the way line addresses cluster (sequential regions),
+		// hit the lines on either side of a page boundary often, and
+		// scatter the rest over thousands of pages.
+		var line uint64
+		switch rng.Intn(3) {
+		case 0:
+			line = uint64(rng.Intn(4))<<32 | uint64(rng.Intn(3000))
+		case 1:
+			line = uint64(rng.Intn(4))<<32 | uint64(1<<dirPageShift-1+rng.Intn(3))
+		default:
+			line = uint64(rng.Intn(1 << 20))
+		}
 		e, r := d.get(line), refGet(line)
 		switch rng.Intn(5) {
 		case 0:
@@ -118,59 +128,56 @@ func TestSharerCountMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDirectoryPointerStability locks the contract Machine.access relies
-// on: entry pointers stay valid across get calls for EXISTING lines, even
-// when those calls interleave with the table sitting right at its growth
-// threshold.
+// TestDirectoryPointerStability locks the property Machine.access relies
+// on: an entry pointer stays valid, and keeps its value, however many
+// unseen lines are inserted after it was taken.
 func TestDirectoryPointerStability(t *testing.T) {
 	d := newDirectory()
-	// Fill to just under the next growth so the table is as close to
-	// resizing as possible.
-	var lines []uint64
-	for i := uint64(0); int(4*(d.n+1)) <= 3*len(d.slots); i++ {
-		d.get(i << 8)
-		lines = append(lines, i<<8)
+	const first = 1<<dirPageShift - 1 // last line of its page
+	e := d.get(first)
+	e.addSharer(7)
+	e.owner = 3
+	e.inv = 9
+	for i := uint64(0); i < 100_000; i++ {
+		d.get(1<<20 + 3*i) // unseen lines across ~4.7k new pages
 	}
-	ptrs := make(map[uint64]*dirEntry, len(lines))
-	for _, l := range lines {
-		ptrs[l] = d.get(l)
+	if got := d.get(first); got != e {
+		t.Fatal("inserting unseen lines moved an earlier entry")
 	}
-	// Lookups of existing lines must not move anything.
-	for _, l := range lines {
-		if d.get(l) != ptrs[l] {
-			t.Fatalf("lookup of existing line %#x moved its entry", l)
-		}
-	}
-	// Sanity: the table reports as many entries as we inserted.
-	if d.len() != len(lines) {
-		t.Fatalf("len = %d, want %d", d.len(), len(lines))
-	}
-	// An insert may grow the table and relocate entries; values survive.
-	d.get(lines[0]).addSharer(7)
-	d.get(1 << 40)
-	if e := d.get(lines[0]); !e.hasSharer(7) {
-		t.Error("entry value lost across growth")
+	if !e.hasSharer(7) || e.sharerCount() != 1 || e.owner != 3 || e.inv != 9 {
+		t.Errorf("entry value lost across inserts: %+v", *e)
 	}
 }
 
-// TestDirectoryReset verifies reset drops entries but keeps capacity.
+// TestDirectoryReset verifies reset drops every entry and hands the pages
+// to the free list, and that a line seen before the reset comes back
+// fresh.
 func TestDirectoryReset(t *testing.T) {
 	d := newDirectory()
 	for i := uint64(0); i < 5000; i++ {
-		d.get(i).addSharer(1)
+		e := d.get(i)
+		e.addSharer(1)
+		e.owner = 1
+		e.inv = 2
 	}
-	grown := len(d.slots)
-	if grown <= dirInitialSlots {
-		t.Fatalf("expected growth beyond %d slots, have %d", dirInitialSlots, grown)
+	pages := len(d.pages)
+	if want := (5000 + 1<<dirPageShift - 1) >> dirPageShift; pages != want {
+		t.Fatalf("5000 lines use %d pages, want %d", pages, want)
 	}
 	d.reset()
-	if d.len() != 0 {
-		t.Fatalf("reset left %d entries", d.len())
+	if d.len() != 0 || len(d.pages) != 0 {
+		t.Fatalf("reset left %d entries in %d pages", d.len(), len(d.pages))
 	}
-	if len(d.slots) != grown {
-		t.Fatalf("reset shrank the table: %d -> %d slots", grown, len(d.slots))
+	if len(d.free) != pages {
+		t.Fatalf("reset freed %d pages, want %d", len(d.free), pages)
 	}
-	if e := d.get(3); e.owner != -1 || e.sharers != (sharerSet{}) {
-		t.Error("entry after reset is not fresh")
+	if e := d.get(3); e.owner != -1 || e.sharers != (sharerSet{}) || e.inv != 0 {
+		t.Errorf("entry after reset is not fresh: %+v", *e)
+	}
+	if len(d.free) != pages-1 {
+		t.Errorf("a new page after reset did not come from the free list: %d free, want %d", len(d.free), pages-1)
+	}
+	if d.maxInv() != 0 {
+		t.Errorf("maxInv after reset = %d, want 0", d.maxInv())
 	}
 }

@@ -166,8 +166,8 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Generation() uint64 { return m.gen }
 
 // Reset returns a consumed machine to its freshly-constructed state while
-// keeping every internal table (cache tag stores, the directory slot
-// array, scheduler and result scratch) allocated, so a pooled machine's
+// keeping every internal table (cache tag stores, the directory's pages,
+// scheduler and result scratch) allocated, so a pooled machine's
 // next Run performs no setup allocations. The generation counter advances
 // so stale handles are detectable. Reset recycles the scratch backing the
 // previous Run's Result.Phases/CoreTime — see the Result lifetime note.
@@ -312,18 +312,18 @@ func (m *Machine) run(prog *Program) (Result, error) {
 
 		switch op.Kind {
 		case OpCompute:
-			res.Counters.ComputeOps += op.N
+			res.Counters.ComputeOps += op.Arg
 			w := uint64(m.cfg.IssueWidth)
-			c.time += (op.N + w - 1) / w
+			c.time += (op.Arg + w - 1) / w
 		case OpLoad:
 			res.Counters.Loads++
-			c.time += m.access(sel, op.Addr, false, &res.Counters)
+			c.time += m.access(sel, op.Arg, false, &res.Counters)
 		case OpStore:
 			res.Counters.Stores++
-			c.time += m.access(sel, op.Addr, true, &res.Counters)
+			c.time += m.access(sel, op.Arg, true, &res.Counters)
 		case OpPhase:
 			m.closePhase(&res, phaseName, phaseStart, c.time)
-			phaseName = op.Phase
+			phaseName = prog.Phases[op.Arg]
 			phaseStart = c.time
 		case OpBarrier:
 			arrivals++
@@ -379,13 +379,13 @@ func (m *Machine) run(prog *Program) (Result, error) {
 // latency in cycles, updating caches, directory and counters. In steady
 // state (the line has been touched before) it performs zero heap
 // allocations — the allocation-budget test locks that in — because the
-// directory stores entries by value and every table below is preallocated.
+// directory stores entries by value in recycled pages and every table below
+// is preallocated.
 func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 {
 	line := addr >> m.cfg.lineShift()
 	l1 := &m.l1[id]
-	// The only directory call that may insert (and thus grow the table):
-	// every later dir.get below resolves an address still resident in some
-	// cache, which is always already tracked, so e stays valid throughout.
+	// Directory entries never move within a run, so e stays valid across
+	// the eviction lookups below.
 	e := m.dir.get(line)
 	lat := m.cfg.L1Lat
 
@@ -515,9 +515,7 @@ func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counte
 }
 
 // installL1 inserts line into core id's L1 with the proper state, handling
-// the eviction side effects (directory update, dirty writeback). The
-// evicted line was resident in L1, so its directory entry already exists —
-// the dir.get below never inserts (see directory's stability contract).
+// the eviction side effects (directory update, dirty writeback).
 func (m *Machine) installL1(id int, line uint64, write bool, e *dirEntry, ctr *Counters) {
 	st := stateShared
 	if write {
@@ -541,8 +539,7 @@ func (m *Machine) installL1(id int, line uint64, write bool, e *dirEntry, ctr *C
 }
 
 // installL2 ensures line is present in the (inclusive) L2, back-invalidating
-// L1 copies of any valid victim. The victim was resident in L2, so its
-// directory entry already exists — the dir.get below never inserts.
+// L1 copies of any valid victim.
 func (m *Machine) installL2(line uint64, ctr *Counters) {
 	if m.l2.lookup(line) != nil {
 		return

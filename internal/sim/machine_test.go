@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustMachine(t *testing.T, cores int) *Machine {
@@ -245,20 +247,45 @@ func TestProgramValidation(t *testing.T) {
 	}
 	// Phase marker on non-zero core.
 	p = NewProgram(2)
-	p.Streams[1] = []Op{{Kind: OpPhase, Phase: "x"}}
+	p.Phases = []string{"x"}
+	p.Streams[1] = []Op{{Kind: OpPhase, Arg: 0}}
 	if err := p.Validate(); err == nil {
 		t.Error("phase on core 1 should fail validation")
 	}
 	// Empty phase name.
 	p = NewProgram(1)
-	p.Streams[0] = []Op{{Kind: OpPhase}}
+	p.Phases = []string{""}
+	p.Streams[0] = []Op{{Kind: OpPhase, Arg: 0}}
 	if err := p.Validate(); err == nil {
 		t.Error("empty phase name should fail validation")
+	}
+	// Phase index outside Program.Phases.
+	p = NewProgram(1)
+	p.Phases = []string{"x"}
+	p.Streams[0] = []Op{{Kind: OpPhase, Arg: 1}}
+	if err := p.Validate(); err == nil {
+		t.Error("phase index past Program.Phases should fail validation")
 	}
 	// Empty program.
 	p = &Program{}
 	if err := p.Validate(); err == nil {
 		t.Error("empty program should fail validation")
+	}
+}
+
+// TestOpLayout pins Op at 16 pointer-free bytes: programs run to hundreds
+// of thousands of ops per core set, and a pointer in Op would make the
+// garbage collector scan all of them.
+func TestOpLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size != 16 {
+		t.Errorf("sizeof(Op) = %d bytes, want 16", size)
+	}
+	typ := reflect.TypeOf(Op{})
+	for i := 0; i < typ.NumField(); i++ {
+		// Bool through Complex128 are exactly the pointer-free scalar kinds.
+		if k := typ.Field(i).Type.Kind(); k < reflect.Bool || k > reflect.Complex128 {
+			t.Errorf("Op.%s is a %s, not a pointer-free scalar", typ.Field(i).Name, k)
+		}
 	}
 }
 
@@ -364,7 +391,7 @@ func TestDeadlockDetection(t *testing.T) {
 	// reaching a barrier the other waits on — constructed by giving core 1
 	// a barrier before its stream is exhausted while core 0 has none.
 	p := &Program{Streams: [][]Op{
-		{{Kind: OpCompute, N: 1}},
+		{{Kind: OpCompute, Arg: 1}},
 		{{Kind: OpBarrier}},
 	}}
 	m := mustMachine(t, 2)

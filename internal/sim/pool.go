@@ -3,7 +3,7 @@ package sim
 import "mergescale/internal/shapepool"
 
 // Machine pooling. A Machine's tables (cache tag stores, the directory
-// slot array, scheduler scratch) dominate its construction cost, and every
+// pages, scheduler scratch) dominate its construction cost, and every
 // engine job historically built a fresh machine per run. The pool keeps
 // consumed machines per configuration and hands them back Reset, so a
 // steady-state simulation sweep performs no machine-construction

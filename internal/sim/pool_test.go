@@ -109,8 +109,9 @@ func TestMachineSingleUseGuards(t *testing.T) {
 	m.Release() // double release is a checked no-op
 }
 
-// TestResetReusesTables asserts Reset keeps grown capacity (the property
-// that makes pooling allocation-free) and clears all residency.
+// TestResetReusesTables asserts Reset keeps every table (the property
+// that makes pooling allocation-free): the directory's pages go to its
+// free list, and all residency is cleared.
 func TestResetReusesTables(t *testing.T) {
 	cfg := DefaultConfig(4)
 	m, err := NewMachine(cfg)
@@ -128,7 +129,7 @@ func TestResetReusesTables(t *testing.T) {
 	if _, err := m.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	slots := len(m.dir.slots)
+	pages := len(m.dir.pages)
 	if m.dir.len() == 0 {
 		t.Fatal("run tracked no lines")
 	}
@@ -136,8 +137,11 @@ func TestResetReusesTables(t *testing.T) {
 	if m.dir.len() != 0 {
 		t.Errorf("directory still tracks %d lines after Reset", m.dir.len())
 	}
-	if len(m.dir.slots) != slots {
-		t.Errorf("Reset shrank the directory: %d -> %d slots", slots, len(m.dir.slots))
+	if len(m.dir.free) != pages {
+		t.Errorf("Reset kept %d of the directory's %d pages for reuse", len(m.dir.free), pages)
+	}
+	if e := m.dir.get(0x1000000 >> cfg.lineShift()); e.owner != -1 || e.sharerCount() != 0 {
+		t.Errorf("directory entry after Reset is not fresh: %+v", *e)
 	}
 	for i := range m.l1 {
 		if m.l1[i].countValid() != 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // OpKind enumerates the operations of the simulator's kernel IR. Workloads
@@ -10,18 +11,20 @@ import (
 type OpKind uint8
 
 const (
-	// OpCompute retires N ALU operations (N/IssueWidth cycles).
+	// OpCompute retires Arg ALU operations (Arg/IssueWidth cycles).
 	OpCompute OpKind = iota
-	// OpLoad reads the cache line containing Addr.
+	// OpLoad reads the cache line containing byte address Arg.
 	OpLoad
-	// OpStore writes the cache line containing Addr (RFO on miss/shared).
+	// OpStore writes the cache line containing byte address Arg (RFO on
+	// miss/shared).
 	OpStore
 	// OpBarrier synchronizes all cores; every core's stream must contain
 	// the same number of barriers in the same order.
 	OpBarrier
-	// OpPhase switches the accounting phase. Only core 0 may emit phase
-	// markers, and each should directly follow a barrier (or stream start)
-	// so that all cores agree on the boundary time.
+	// OpPhase switches the accounting phase to Program.Phases[Arg]. Only
+	// core 0 may emit phase markers, and each should directly follow a
+	// barrier (or stream start) so that all cores agree on the boundary
+	// time.
 	OpPhase
 )
 
@@ -43,17 +46,20 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is a single IR operation.
+// Op is a single IR operation: 16 bytes and pointer-free, so a program's
+// streams are plain memory the garbage collector never scans. Arg is the
+// ALU op count of OpCompute, the byte address of OpLoad/OpStore and the
+// Program.Phases index of OpPhase.
 type Op struct {
-	Kind  OpKind
-	N     uint64 // OpCompute: ALU op count
-	Addr  uint64 // OpLoad/OpStore: byte address
-	Phase string // OpPhase: phase name
+	Kind OpKind
+	Arg  uint64
 }
 
-// Program is a per-core set of operation streams.
+// Program is a per-core set of operation streams plus the phase names its
+// OpPhase markers index.
 type Program struct {
 	Streams [][]Op
+	Phases  []string
 }
 
 // NewProgram allocates empty streams for n cores.
@@ -90,7 +96,10 @@ func (p *Program) Validate() error {
 				if id != 0 {
 					return fmt.Errorf("sim: phase marker on core %d (only core 0 may mark phases)", id)
 				}
-				if op.Phase == "" {
+				if op.Arg >= uint64(len(p.Phases)) {
+					return fmt.Errorf("sim: phase index %d outside the program's %d phase names", op.Arg, len(p.Phases))
+				}
+				if p.Phases[op.Arg] == "" {
 					return errors.New("sim: empty phase name")
 				}
 			case OpCompute, OpLoad, OpStore:
@@ -119,20 +128,20 @@ func NewBuilder(n int) *Builder { return &Builder{prog: NewProgram(n)} }
 // Compute appends an ALU burst to core id's stream.
 func (b *Builder) Compute(id int, n uint64) *Builder {
 	if n > 0 {
-		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpCompute, N: n})
+		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpCompute, Arg: n})
 	}
 	return b
 }
 
 // Load appends a load of addr to core id's stream.
 func (b *Builder) Load(id int, addr uint64) *Builder {
-	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpLoad, Addr: addr})
+	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpLoad, Arg: addr})
 	return b
 }
 
 // Store appends a store to addr to core id's stream.
 func (b *Builder) Store(id int, addr uint64) *Builder {
-	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpStore, Addr: addr})
+	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpStore, Arg: addr})
 	return b
 }
 
@@ -195,9 +204,15 @@ func (b *Builder) Barrier() *Builder {
 	return b
 }
 
-// Phase appends a phase marker to core 0's stream.
+// Phase appends a phase marker to core 0's stream, interning name into
+// the program's phase names.
 func (b *Builder) Phase(name string) *Builder {
-	b.prog.Streams[0] = append(b.prog.Streams[0], Op{Kind: OpPhase, Phase: name})
+	i := slices.Index(b.prog.Phases, name)
+	if i < 0 {
+		i = len(b.prog.Phases)
+		b.prog.Phases = append(b.prog.Phases, name)
+	}
+	b.prog.Streams[0] = append(b.prog.Streams[0], Op{Kind: OpPhase, Arg: uint64(i)})
 	return b
 }
 
