@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"maps"
+	"os"
 	"strings"
 	"testing"
 )
@@ -83,31 +85,80 @@ func TestFaultsCorruptedCacheSelfHealsAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFaultsStatsLineDeterministic: the same seed and spec inject the
-// same fault sequence, so two runs over fresh cache dirs report
-// identical injection counts in -stats.
-func TestFaultsStatsLineDeterministic(t *testing.T) {
-	statsLine := func(t *testing.T) string {
-		t.Helper()
-		var out, errOut bytes.Buffer
-		args := []string{"-quick", "-cachedir", t.TempDir(),
-			"-faults", "seed=7,get.err=0.5,put.enospc=0.5", "-stats", "run", "all"}
-		if code := run(args, &out, &errOut); code != 0 {
-			t.Fatalf("run exit %d: %s", code, errOut.String())
-		}
-		for _, line := range strings.Split(errOut.String(), "\n") {
-			if strings.Contains(line, "faults:") {
-				return line
-			}
-		}
-		t.Fatalf("no faults line in stats:\n%s", errOut.String())
-		return ""
+// faultedRun runs `run all` in quick mode over a fresh cache directory
+// with the given worker count and fault spec, and returns the rendered
+// bytes, the -stats "faults:" line and the cache directory.
+func faultedRun(t *testing.T, workers, spec string) (out []byte, faultsLine, dir string) {
+	t.Helper()
+	dir = t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-quick", "-workers", workers, "-cachedir", dir, "-faults", spec, "-stats", "run", "all"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run exit %d: %s", code, stderr.String())
 	}
-	a, b := statsLine(t), statsLine(t)
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.Contains(line, "faults:") {
+			return stdout.Bytes(), line, dir
+		}
+	}
+	t.Fatalf("no faults line in stats:\n%s", stderr.String())
+	return nil, "", ""
+}
+
+// TestFaultsStatsLineDeterministic: at -workers 1 the store sees one
+// arrival order, so the same seed and spec replay the whole -stats
+// faults line, the breaker's trip point included.
+func TestFaultsStatsLineDeterministic(t *testing.T) {
+	const spec = "seed=7,get.err=0.5,put.enospc=0.5"
+	_, a, _ := faultedRun(t, "1", spec)
+	_, b, _ := faultedRun(t, "1", spec)
 	if a != b {
 		t.Errorf("same seed+spec, different injection stats:\n%s\n%s", a, b)
 	}
 	if !strings.Contains(a, "breaker") {
 		t.Errorf("faults stats line missing breaker state: %s", a)
+	}
+}
+
+// TestFaultsKeyDecisionsReplayAtAnyWorkers: at -workers 8 the arrival
+// order changes from run to run, yet every key's fault decisions replay.
+// put.corrupt damages an entry by a single bit flip or by truncation,
+// chosen from the key's decision bits, and never trips the breaker. So
+// two runs must render the same bytes, inject the same number of faults,
+// and leave the same entry files, each truncated to the same length.
+func TestFaultsKeyDecisionsReplayAtAnyWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full quick runs")
+	}
+	const spec = "seed=7,put.corrupt=0.5"
+	outA, lineA, dirA := faultedRun(t, "8", spec)
+	outB, lineB, dirB := faultedRun(t, "8", spec)
+	if !bytes.Equal(outA, outB) {
+		t.Error("same seed+spec at -workers 8 rendered different bytes")
+	}
+	if lineA != lineB {
+		t.Errorf("same seed+spec at -workers 8, different injection stats:\n%s\n%s", lineA, lineB)
+	}
+	sizes := func(dir string) map[string]int64 {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]int64{}
+		for _, e := range entries {
+			fi, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[e.Name()] = fi.Size()
+		}
+		return m
+	}
+	a, b := sizes(dirA), sizes(dirB)
+	if len(a) == 0 {
+		t.Fatal("no cache entries written")
+	}
+	if !maps.Equal(a, b) {
+		t.Errorf("entry files differ between runs:\n%v\n%v", a, b)
 	}
 }

@@ -204,14 +204,19 @@ var datasets sync.Map // datagen.Spec -> *datagen.Dataset
 // datasetFor generates (or recalls) the default data set of a workload,
 // shrunk in quick mode.
 func datasetFor(w workload.Workload, opt Options) (*datagen.Dataset, error) {
-	spec := w.DefaultSpec()
+	return genDataset(sizedSpec(w.DefaultSpec(), opt))
+}
+
+// sizedSpec shrinks a spec's point count eightfold (to at least 1024) in
+// quick mode.
+func sizedSpec(spec datagen.Spec, opt Options) datagen.Spec {
 	if opt.Quick {
 		spec.N /= 8
 		if spec.N < 1024 {
 			spec.N = 1024
 		}
 	}
-	return genDataset(spec)
+	return spec
 }
 
 // genDataset is the memoizing front of datagen.Generate shared by every

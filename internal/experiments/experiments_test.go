@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mergescale/internal/workload/datagen"
 )
 
 var quick = Options{Quick: true}
@@ -78,6 +80,27 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				t.Fatalf("csv: %v", err)
 			}
 		})
+	}
+}
+
+// TestTable4GeneratesOnlyHopData: Table IV's kmeans and fuzzy rows are
+// closed forms over the data-set shape, so the only data sets Table4
+// generates (through the genDataset memo) are hop's.
+func TestTable4GeneratesOnlyHopData(t *testing.T) {
+	datasets.Range(func(k, _ any) bool {
+		datasets.Delete(k)
+		return true
+	})
+	if _, err := Table4(context.Background(), quick); err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	datasets.Range(func(k, _ any) bool {
+		labels = append(labels, k.(datagen.Spec).Label)
+		return true
+	})
+	if len(labels) != 1 || labels[0] != datagen.HopDefault.Label {
+		t.Errorf("quick Table4 generated data sets %v, want only %s", labels, datagen.HopDefault.Label)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"mergescale/internal/report"
 	"mergescale/internal/trace"
 	"mergescale/internal/workload"
+	"mergescale/internal/workload/datagen"
 )
 
 // Fig2a reproduces the application-scalability plot: simulated speedup up
@@ -65,14 +66,15 @@ func serialGrowthDoc(ctx context.Context, id, title string, opt Options, native 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ds, err := datasetFor(w, opt)
-		if err != nil {
-			return nil, err
-		}
 		var profiles []*trace.Profile
+		var err error
 		if native {
-			profiles, err = workload.NativeProfiles(w, ds, grid, opt.UseDuration)
+			profiles, err = workload.NativeProfiles(w, sizedSpec(w.DefaultSpec(), opt), genDataset, grid, opt.UseDuration)
 		} else {
+			var ds *datagen.Dataset
+			if ds, err = datasetFor(w, opt); err != nil {
+				return nil, err
+			}
 			profiles, err = workload.SimProfilesEngine(ctx, opt.Engine, w, ds, grid, simScale(opt))
 		}
 		if err != nil {

@@ -121,9 +121,11 @@ var paperTableIV = map[string][3]float64{
 	"hop-med":       {0.9980, 15, 85},
 }
 
-// Table4 regenerates the data-set sensitivity study from native runs.
-// With opt.Emit set, each dataset's row streams out as its native run
-// completes.
+// Table4 regenerates the data-set sensitivity study from native operation
+// counts, derived per data set for the whole thread grid at once
+// (Workload.OpCounts): kmeans and fuzzy rows are closed forms that never
+// generate their data set, hop rows take one native pass each. With
+// opt.Emit set, each dataset's row streams out as its profiles resolve.
 func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 	em := report.NewEmitter("table4", "Dataset sensitivity (native runs, operation counts)", opt.Emit)
 	em.Table("Table IV — dataset sensitivity",
@@ -140,17 +142,8 @@ func Table4(ctx context.Context, opt Options) (*report.Document, error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if opt.Quick {
-			spec.N /= 8
-			if spec.N < 1024 {
-				spec.N = 1024
-			}
-		}
-		ds, err := genDataset(spec)
-		if err != nil {
-			return err
-		}
-		profiles, err := workload.NativeProfiles(mk(), ds, nativeThreadCounts(opt), false)
+		spec = sizedSpec(spec, opt)
+		profiles, err := mk().OpCounts(spec, genDataset, nativeThreadCounts(opt))
 		if err != nil {
 			return err
 		}

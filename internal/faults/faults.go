@@ -11,8 +11,8 @@
 // supposed to degrade to a recomputation, never to a wrong byte. That
 // contract is only trustworthy if it is exercised, and real disks fail
 // rarely and unreproducibly. The injector makes failure a first-class,
-// replayable input: the same seed and spec produce the same injected
-// fault sequence for every operation index, regardless of goroutine
+// replayable input: the same seed and spec give every cache key the same
+// fault decisions on its every attempt, regardless of goroutine
 // scheduling, so a chaos run that found a bug can be re-run until the
 // bug is gone. Injection is off by default and sits strictly between
 // the engine and the store — it never sees, and can never alter, cache
@@ -49,12 +49,16 @@
 //
 // # Determinism
 //
-// Every decision is a pure function of (seed, op, kind, n) where n is
-// the per-(op,kind) operation index: a splitmix64 stream indexed by n,
-// not a shared stateful PRNG. Concurrent operations race only for the
-// index counter, so the multiset of decisions over any N operations is
-// schedule-independent, and a single-threaded replay reproduces the
-// exact sequence.
+// Every decision's bits are a pure function of (seed, op, kind, key,
+// attempt), where attempt counts the earlier (op, kind) operations on the
+// same key: a splitmix64 mix, not a shared stateful PRNG. Probability
+// rules fire on those bits alone, so at any worker count the same seed
+// and spec give the same decision for every (op, key, attempt). 1/N
+// rules fire on every Nth (op, kind) operation in arrival order, so their
+// count is exact but the keys they hit replay only with the arrival
+// order. The breaker above the injector trips on faults consecutive in
+// time, so its trip point, and the faults it then short-circuits, also
+// follow arrival order: a single-worker replay reproduces them exactly.
 package faults
 
 import (

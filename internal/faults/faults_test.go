@@ -3,7 +3,10 @@ package faults
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -83,8 +86,7 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 // TestInjectorDeterministic: two injectors with the same spec agree on
-// every decision in sequence — the property ISSUE-level chaos replay
-// rests on.
+// every decision in sequence — the property chaos replay rests on.
 func TestInjectorDeterministic(t *testing.T) {
 	spec, err := ParseSpec("seed=99,get.err=0.3,put.err=1/3,put.corrupt=0.5")
 	if err != nil {
@@ -94,8 +96,9 @@ func TestInjectorDeterministic(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		for op := Op(0); op < numOps; op++ {
 			for kind := Kind(0); kind < numKinds; kind++ {
-				hitA, bitsA := a.decide(op, kind)
-				hitB, bitsB := b.decide(op, kind)
+				key := "k" + strconv.Itoa(i%37)
+				hitA, bitsA := a.decide(op, kind, key)
+				hitB, bitsB := b.decide(op, kind, key)
 				if hitA != hitB || bitsA != bitsB {
 					t.Fatalf("op %d: %s.%s decision diverged: (%v,%d) vs (%v,%d)",
 						i, op, kind, hitA, bitsA, hitB, bitsB)
@@ -120,7 +123,7 @@ func TestInjectorSeedChangesSequence(t *testing.T) {
 		in := NewInjector(spec)
 		seq := make([]bool, 256)
 		for i := range seq {
-			seq[i], _ = in.decide(OpGet, KindErr)
+			seq[i], _ = in.decide(OpGet, KindErr, "k"+strconv.Itoa(i))
 		}
 		return seq
 	}
@@ -137,7 +140,8 @@ func TestInjectorSeedChangesSequence(t *testing.T) {
 	}
 }
 
-// TestInjectorEverySchedule: 1/N fires on exactly every Nth operation.
+// TestInjectorEverySchedule: 1/N fires on exactly every Nth operation in
+// arrival order, whatever keys the operations touch.
 func TestInjectorEverySchedule(t *testing.T) {
 	spec, err := ParseSpec("put.err=1/3")
 	if err != nil {
@@ -145,7 +149,7 @@ func TestInjectorEverySchedule(t *testing.T) {
 	}
 	in := NewInjector(spec)
 	for i := 1; i <= 30; i++ {
-		hit, _ := in.decide(OpPut, KindErr)
+		hit, _ := in.decide(OpPut, KindErr, "k"+strconv.Itoa(i%4))
 		if want := i%3 == 0; hit != want {
 			t.Fatalf("op %d: hit = %v, want %v", i, hit, want)
 		}
@@ -156,8 +160,8 @@ func TestInjectorEverySchedule(t *testing.T) {
 }
 
 // TestInjectorConcurrentMultiset: N goroutines hammering one injector
-// consume the same decision multiset a serial replay produces — the
-// schedule-independence claim from the package comment.
+// over a shared key set inject as many faults as a serial replay of the
+// same operations.
 func TestInjectorConcurrentMultiset(t *testing.T) {
 	spec, err := ParseSpec("seed=5,get.err=0.4")
 	if err != nil {
@@ -168,7 +172,7 @@ func TestInjectorConcurrentMultiset(t *testing.T) {
 	serial := NewInjector(spec)
 	var wantHits int
 	for i := 0; i < workers*perWorker; i++ {
-		if hit, _ := serial.decide(OpGet, KindErr); hit {
+		if hit, _ := serial.decide(OpGet, KindErr, "k"+strconv.Itoa(i%perWorker)); hit {
 			wantHits++
 		}
 	}
@@ -180,13 +184,83 @@ func TestInjectorConcurrentMultiset(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				conc.decide(OpGet, KindErr)
+				conc.decide(OpGet, KindErr, "k"+strconv.Itoa(i))
 			}
 		}()
 	}
 	wg.Wait()
 	if got := conc.InjectedTotal(); got != uint64(wantHits) {
 		t.Fatalf("concurrent hits = %d, serial hits = %d", got, wantHits)
+	}
+}
+
+// TestInjectorKeyAddressedDecisions: a key's decisions depend only on
+// the key and its attempt number, never on arrival order. One key
+// multiset, fed by 8 goroutines in shuffled orders, must give every key
+// the same decisions as a serial pass. A global per-(op, kind) operation
+// index fails this: the same key draws different indices in different
+// orders.
+func TestInjectorKeyAddressedDecisions(t *testing.T) {
+	spec, err := ParseSpec("seed=3,get.err=0.5,put.corrupt=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, attempts, workers = 64, 4, 8
+	var ops []string
+	for k := 0; k < keys; k++ {
+		for a := 0; a < attempts; a++ {
+			ops = append(ops, "key-"+strconv.Itoa(k))
+		}
+	}
+	// decisions feeds ops from `workers` goroutines (one when serial) and
+	// returns each key's sorted decision bits under both rules.
+	decisions := func(ops []string, workers int) map[string][]uint64 {
+		in := NewInjector(spec)
+		var mu sync.Mutex
+		got := map[string][]uint64{}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(ops); i += workers {
+					key := ops[i]
+					_, getBits := in.decide(OpGet, KindErr, key)
+					_, putBits := in.decide(OpPut, KindCorrupt, key)
+					mu.Lock()
+					got[key] = append(got[key], getBits, putBits)
+					mu.Unlock()
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, d := range got {
+			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		}
+		return got
+	}
+	want := decisions(ops, 1)
+	fired := 0
+	for _, d := range want {
+		for _, bits := range d {
+			if bits != 0 {
+				fired++
+			}
+		}
+	}
+	if fired == 0 || fired == 2*len(ops) {
+		t.Fatalf("%d of %d decisions fired; the test needs a mix", fired, 2*len(ops))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 4; trial++ {
+		shuffled := append([]string(nil), ops...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		got := decisions(shuffled, workers)
+		for key, w := range want {
+			if !slices.Equal(got[key], w) {
+				t.Fatalf("trial %d: key %s decided %x, serial pass decided %x", trial, key, got[key], w)
+			}
+		}
 	}
 }
 
@@ -254,7 +328,7 @@ func TestCountsListsActiveRulesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(spec)
-	in.decide(OpPut, KindErr)
+	in.decide(OpPut, KindErr, "k")
 	rcs := in.Counts()
 	if len(rcs) != 3 {
 		t.Fatalf("Counts lists %d rules, want 3", len(rcs))

@@ -41,10 +41,10 @@ func NewStore(inner ErrStore, in *Injector) *Store {
 
 // GetE implements ErrStore with get.delay and get.err injection.
 func (s *Store) GetE(key string) (any, bool, error) {
-	if hit, _ := s.in.decide(OpGet, KindDelay); hit {
+	if hit, _ := s.in.decide(OpGet, KindDelay, key); hit {
 		time.Sleep(s.in.spec.Rules[OpGet][KindDelay].Delay)
 	}
-	if hit, _ := s.in.decide(OpGet, KindErr); hit {
+	if hit, _ := s.in.decide(OpGet, KindErr, key); hit {
 		return nil, false, fmt.Errorf("%w: get %s", ErrInjected, key)
 	}
 	return s.inner.GetE(key)
@@ -52,10 +52,10 @@ func (s *Store) GetE(key string) (any, bool, error) {
 
 // PutE implements ErrStore with put.delay and put.err injection.
 func (s *Store) PutE(key string, val any) error {
-	if hit, _ := s.in.decide(OpPut, KindDelay); hit {
+	if hit, _ := s.in.decide(OpPut, KindDelay, key); hit {
 		time.Sleep(s.in.spec.Rules[OpPut][KindDelay].Delay)
 	}
-	if hit, _ := s.in.decide(OpPut, KindErr); hit {
+	if hit, _ := s.in.decide(OpPut, KindErr, key); hit {
 		return fmt.Errorf("%w: put %s", ErrInjected, key)
 	}
 	return s.inner.PutE(key, val)

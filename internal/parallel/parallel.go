@@ -204,6 +204,17 @@ func splitInto(dst []Range, n, t int) []Range {
 	return dst[:t]
 }
 
+// ChunkOf returns the index of the Split(n, t) chunk that owns item i
+// (0 <= i < n) in O(1): the first n%t chunks hold base+1 items, the
+// rest base.
+func ChunkOf(n, t, i int) int {
+	base, rem := n/t, n%t
+	if big := rem * (base + 1); i >= big {
+		return rem + (i-big)/base
+	}
+	return i / (base + 1)
+}
+
 // For runs body(id, lo, hi) on every worker with the static partition of n
 // items and blocks until all chunks are done. The partition and dispatch
 // closure are pool-owned scratch, so a For call allocates nothing beyond

@@ -83,6 +83,22 @@ func TestSplitProperties(t *testing.T) {
 	}
 }
 
+// TestChunkOfMatchesSplit: the arithmetic chunk index names the chunk
+// whose Split range holds each item, for every small shape.
+func TestChunkOfMatchesSplit(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		for th := 1; th <= 17; th++ {
+			for id, r := range Split(n, th) {
+				for i := r.Lo; i < r.Hi; i++ {
+					if got := ChunkOf(n, th, i); got != id {
+						t.Fatalf("ChunkOf(%d, %d, %d) = %d, want %d", n, th, i, got, id)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSplitDegenerate(t *testing.T) {
 	r := Split(5, 0) // t < 1 clamps to 1
 	if len(r) != 1 || r[0] != (Range{0, 5}) {

@@ -85,52 +85,77 @@ func Reduce(s Strategy, pv *parallel.Privatized, dst []float64, pool *parallel.P
 	}
 }
 
+// ShapeCost returns the exact Cost that Reduce reports for merging t
+// partial vectors of x elements with strategy s. The cost depends only
+// on this shape, never on the values, so op-count profiles can be
+// derived without running the merge. Unlike PredictedCritical (the
+// model's growth function), it follows Reduce at t = 1: a tree over a
+// single partial runs no round and charges nothing.
+func ShapeCost(s Strategy, t, x int) (Cost, error) {
+	if t < 1 {
+		return Cost{}, errors.New("reduction: thread count must be >= 1")
+	}
+	if x == 0 {
+		return Cost{}, nil // Reduce merges nothing
+	}
+	switch s {
+	case Linear:
+		// One thread does every addition, so all of them are on the
+		// critical path; each non-local partial moves to the merger.
+		return Cost{AddOps: t * x, CriticalOps: t * x, CommElems: (t - 1) * x, Rounds: 1}, nil
+	case Tree:
+		// Each round adds the upper half of the live vectors onto the
+		// lower half concurrently: the critical path grows by one
+		// vector-add per round, and every added vector moves once.
+		c := Cost{}
+		for live := t; live > 1; live -= live / 2 {
+			c.Rounds++
+			c.AddOps += live / 2 * x
+			c.CriticalOps += x
+		}
+		c.CommElems = c.AddOps
+		return c, nil
+	case Parallel:
+		// Each thread owns ceil(x/t) elements and adds all t partials of
+		// each; every thread reads t-1 remote chunks and the merged
+		// results are broadcast back: 2·(t-1)·x transfers (the paper's
+		// 2·(n-1)·x communication count).
+		chunk := (x + t - 1) / t
+		return Cost{AddOps: t * x, CriticalOps: chunk * t, CommElems: 2 * (t - 1) * x, Rounds: 1}, nil
+	}
+	return Cost{}, fmt.Errorf("reduction: unknown strategy %d", int(s))
+}
+
 func reduceLinear(pv *parallel.Privatized, dst []float64) Cost {
-	t, x := pv.Threads(), pv.Width()
-	for id := 0; id < t; id++ {
+	for id := 0; id < pv.Threads(); id++ {
 		buf := pv.Buf(id)
 		for i, v := range buf {
 			dst[i] += v
 		}
 	}
-	// Every addition is on the critical path: one thread does all the work.
-	// Each non-local partial vector is communicated to the merging thread.
-	comm := 0
-	if t > 1 {
-		comm = (t - 1) * x
-	}
-	return Cost{AddOps: t * x, CriticalOps: t * x, CommElems: comm, Rounds: 1}
+	c, _ := ShapeCost(Linear, pv.Threads(), pv.Width())
+	return c
 }
 
 func reduceTree(pv *parallel.Privatized, dst []float64) Cost {
-	t, x := pv.Threads(), pv.Width()
+	t := pv.Threads()
 	live := make([][]float64, t)
 	for i := 0; i < t; i++ {
 		live[i] = pv.Buf(i)
 	}
-	cost := Cost{}
 	for len(live) > 1 {
-		cost.Rounds++
 		half := len(live) / 2
 		for i := 0; i < half; i++ {
-			a := live[i]
-			b := live[len(live)-1-i]
-			if &a[0] == &b[0] { // odd count middle element pairs with itself; skip
-				continue
-			}
+			a, b := live[i], live[len(live)-1-i]
 			for j, v := range b {
 				a[j] += v
 			}
-			cost.AddOps += x
-			cost.CommElems += x // b's vector moves to a's thread
 		}
-		// Each round's pairwise adds run concurrently; the critical path
-		// grows by one vector-add per round.
-		cost.CriticalOps += x
 		live = live[:len(live)-half]
 	}
 	copy(dst, live[0])
-	return cost
+	c, _ := ShapeCost(Tree, t, pv.Width())
+	return c
 }
 
 func reduceParallel(pv *parallel.Privatized, dst []float64, pool *parallel.Pool) (Cost, error) {
@@ -155,21 +180,7 @@ func reduceParallel(pv *parallel.Privatized, dst []float64, pool *parallel.Pool)
 			}
 		}
 	}
-	// Total adds t*x, but spread over t threads: the critical path is the
-	// largest chunk, ceil(x/t)*t adds per thread... each thread performs
-	// t additions per owned element, over ceil(x/t) elements.
-	chunk := x / t
-	if x%t != 0 {
-		chunk++
-	}
-	// Each thread reads t-1 remote chunks of its elements, and the merged
-	// results are broadcast back: 2*(t-1)*x element transfers in total
-	// (the paper's 2·(n-1)·x communication count).
-	comm := 0
-	if t > 1 {
-		comm = 2 * (t - 1) * x
-	}
-	return Cost{AddOps: t * x, CriticalOps: chunk * t, CommElems: comm, Rounds: 1}, nil
+	return ShapeCost(Parallel, t, x)
 }
 
 // PredictedCritical returns the model's critical-path operation count for a

@@ -177,6 +177,36 @@ func TestCostMatchesPrediction(t *testing.T) {
 	}
 }
 
+// TestShapeCostMatchesReduce: the shape-only cost equals the cost Reduce
+// measures for every strategy, thread count and width — t = 1 included,
+// where PredictedCritical's tree floor of one round does not apply.
+func TestShapeCostMatchesReduce(t *testing.T) {
+	for _, s := range []Strategy{Linear, Tree, Parallel} {
+		for th := 1; th <= 16; th++ {
+			for _, x := range []int{0, 1, 2, 7, 8, 64, 81} {
+				pv := fill(th, x, 2)
+				got, err := Reduce(s, pv, make([]float64, x), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ShapeCost(s, th, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s t=%d x=%d: Reduce cost %+v != ShapeCost %+v", s, th, x, got, want)
+				}
+			}
+		}
+	}
+	if _, err := ShapeCost(Strategy(9), 2, 4); err == nil {
+		t.Error("ShapeCost should reject an unknown strategy")
+	}
+	if _, err := ShapeCost(Linear, 0, 4); err == nil {
+		t.Error("ShapeCost should reject t < 1")
+	}
+}
+
 func TestStrategyOrderingProperty(t *testing.T) {
 	// For t >= 2 and x a multiple of t (so the parallel chunks are even):
 	// critical path parallel <= tree <= linear.

@@ -280,6 +280,39 @@ func (w *Contend) RunNative(ds *datagen.Dataset, threads int, timing bool) (*tra
 	return prof, err
 }
 
+// OpCounts implements workload.Workload. Run's operation counts depend on
+// the trace length, the config and the thread count, never on which keys
+// the trace draws, so the profiles are closed forms issued in Run's
+// AddWork order, and no data set is generated.
+func (w *Contend) OpCounts(spec datagen.Spec, _ workload.Generator, threads []int) ([]*trace.Profile, error) {
+	cfg := w.Cfg
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	n := spec.N
+	out := make([]*trace.Profile, len(threads))
+	for i, t := range threads {
+		if t < 1 {
+			return nil, errors.New("contend: threads must be >= 1")
+		}
+		p := trace.NewProfile("contend", t)
+		p.AddWork(trace.SecInit, float64(n))
+		for r := 0; r < cfg.Rounds; r++ {
+			lo, hi := roundBounds(n, cfg.Rounds, r)
+			p.AddWork(trace.SecParallel, float64((hi-lo)*(cfg.OpsPerTx+1)))
+			if cfg.Mode == Split {
+				p.AddWork(trace.SecReduction, float64(t*cfg.Keys))
+			}
+			p.AddWork(trace.SecSerial, float64(cfg.Keys))
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
 // BuildProgram implements workload.Workload. Every transaction compiles to
 // a load–compute–store triple on its key's cache line: in joined mode the
 // line lives in the shared counter table (AddrCenters), so concurrent

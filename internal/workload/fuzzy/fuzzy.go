@@ -212,6 +212,41 @@ func (w *Fuzzy) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace
 	return prof, err
 }
 
+// OpCounts implements workload.Workload with the closed forms of Run's
+// operation counts (see kmeans.OpCounts): no data set is generated.
+func (w *Fuzzy) OpCounts(spec datagen.Spec, _ workload.Generator, threads []int) ([]*trace.Profile, error) {
+	cfg := w.Cfg
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	n, d, k := spec.N, spec.D, cfg.K
+	if k > n {
+		return nil, fmt.Errorf("fuzzy: K=%d exceeds N=%d", k, n)
+	}
+	out := make([]*trace.Profile, len(threads))
+	for i, t := range threads {
+		if t < 1 {
+			return nil, errors.New("fuzzy: threads must be >= 1")
+		}
+		cost, err := reduction.ShapeCost(cfg.Strategy, t, k*(d+1))
+		if err != nil {
+			return nil, err
+		}
+		p := trace.NewProfile("fuzzy", t)
+		p.AddWork(trace.SecInit, float64(k*d))
+		for iter := 0; iter < cfg.Iters; iter++ {
+			p.AddWork(trace.SecParallel, float64(n)*opsPerPoint(k, d))
+			p.AddWork(trace.SecReduction, float64(cost.CriticalOps)+float64(2*k*d))
+			p.AddWork(trace.SecSerial, float64(k*d))
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
 // BuildProgram implements workload.Workload (see kmeans.BuildProgram; the
 // structure is identical with fuzzy's heavier per-point compute).
 func (w *Fuzzy) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim.Program, error) {

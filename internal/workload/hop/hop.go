@@ -99,8 +99,6 @@ func (gr *grid) cellCoord(cell int, out []int) {
 	}
 }
 
-// Run executes hop natively with instrumented phases.
-
 // runScratch holds Run's per-run working arrays, pooled by shape
 // ([n, cells, threads, d, mask words]) so the dozens of native runs an
 // experiment suite performs reuse their buffers instead of reallocating
@@ -109,6 +107,7 @@ func (gr *grid) cellCoord(cell int, out []int) {
 // every run. Only Result.Group (returned to the caller) is freshly
 // allocated per run.
 type runScratch struct {
+	shape            [5]int
 	partial          [][]int32
 	cellIdx, counts  []int32
 	order, cursor    []int32
@@ -124,12 +123,13 @@ type runScratch struct {
 var scratchPools shapepool.Registry[[5]int]
 
 func acquireScratch(n, cells, threads, d, words int) *runScratch {
-	sp := scratchPools.For([5]int{n, cells, threads, d, words})
-	if s, _ := sp.Get().(*runScratch); s != nil {
+	shape := [5]int{n, cells, threads, d, words}
+	if s, _ := scratchPools.For(shape).Get().(*runScratch); s != nil {
 		s.clear()
 		return s
 	}
 	s := &runScratch{
+		shape:   shape,
 		sorted:  make([]float64, n*d),
 		inRange: make([]uint64, n*words),
 		partial: make([][]int32, threads),
@@ -152,9 +152,7 @@ func acquireScratch(n, cells, threads, d, words int) *runScratch {
 	return s
 }
 
-func (s *runScratch) release(n, cells, threads, d, words int) {
-	scratchPools.For([5]int{n, cells, threads, d, words}).Put(s)
-}
+func (s *runScratch) release() { scratchPools.For(s.shape).Put(s) }
 
 // clear zeroes every buffer a run does not fully overwrite (memclr — no
 // allocations); the accumulating arrays (partial counts, parOps, counts)
@@ -176,18 +174,102 @@ func (s *runScratch) clear() {
 	clear(s.maxv)
 }
 
+// Run executes hop natively with instrumented phases.
 func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *trace.Profile, error) {
+	scr, prof, _, err := pass(ds, cfg, threads, timing)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer scr.release()
+	n := ds.N()
+	parent := scr.parent
+
+	// ---- merging phase, part 2: cross-chunk group merge. Each thread
+	// found roots within its chunk of the sorted order; the master resolves
+	// parent edges that cross chunk boundaries. The number of cross edges
+	// grows with the thread count.
+	var tRed *trace.Timer
+	if timing {
+		tRed = prof.StartTimer(trace.SecReduction)
+	}
+	cross := crossEdges(parent, scr.posOf, threads)
+	if timing {
+		tRed.Stop()
+	}
+	prof.AddWork(trace.SecReduction, float64(cross))
+
+	// ---- serial: root chase with path compression and relabel.
+	var tSer *trace.Timer
+	if timing {
+		tSer = prof.StartTimer(trace.SecSerial)
+	}
+	root := scr.root
+	var find func(i int32) int32
+	find = func(i int32) int32 {
+		if parent[i] == i {
+			return i
+		}
+		r := find(parent[i])
+		parent[i] = r
+		return r
+	}
+	groups := 0
+	for i := 0; i < n; i++ {
+		root[i] = find(int32(i))
+	}
+	for i := 0; i < n; i++ {
+		if parent[i] == int32(i) {
+			groups++
+		}
+	}
+	if timing {
+		tSer.Stop()
+	}
+	prof.AddWork(trace.SecSerial, float64(2*n))
+
+	out := make([]int, n)
+	for i := range root {
+		out[i] = int(root[i])
+	}
+	return &Result{Group: out, Groups: groups}, prof, nil
+}
+
+// crossEdges counts the parent edges whose endpoints fall in different
+// chunks of the threads-way split of the cell-sorted order: the work of
+// hop's cross-chunk group merge. parent maps each point to its densest
+// candidate and posOf maps it to its sorted position; neither depends on
+// the thread count, so one pass serves every count.
+func crossEdges(parent, posOf []int32, threads int) int {
+	n := len(parent)
+	cross := 0
+	for i, p := range parent {
+		if int(p) != i && parallel.ChunkOf(n, threads, int(posOf[i])) != parallel.ChunkOf(n, threads, int(posOf[p])) {
+			cross++
+		}
+	}
+	return cross
+}
+
+// pass runs hop on threads workers up to the cross-chunk group merge:
+// bounding box, binning, the cell-count merge, placement, and the
+// density and hop passes. It leaves parent (point -> densest in-range
+// candidate) and posOf (point -> sorted position) in the returned
+// scratch, which the caller releases, and returns the grid's cell
+// count. The profile holds every section's work except the cross-chunk
+// merge and the final relabel; apart from the threads × cells merge
+// term, none of it depends on the thread count.
+func pass(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*runScratch, *trace.Profile, int, error) {
 	if threads < 1 {
-		return nil, nil, errors.New("hop: threads must be >= 1")
+		return nil, nil, 0, errors.New("hop: threads must be >= 1")
 	}
 	n, d := ds.N(), ds.D()
 	if d > 4 {
-		return nil, nil, fmt.Errorf("hop: dimensionality %d too high for grid neighbors", d)
+		return nil, nil, 0, fmt.Errorf("hop: dimensionality %d too high for grid neighbors", d)
 	}
 	prof := trace.NewProfile("hop", threads)
 	pool, err := parallel.AcquirePool(threads)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	defer pool.Release()
 
@@ -225,7 +307,6 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 	}
 	words := (2*w + 63) / 64
 	scr := acquireScratch(n, gr.cells, threads, d, words)
-	defer scr.release(n, gr.cells, threads, d, words)
 	gr.min = scr.min
 	gr.scale = scr.scale
 	maxv := scr.maxv
@@ -426,77 +507,58 @@ func Run(ds *datagen.Dataset, cfg Config, threads int, timing bool) (*Result, *t
 		prof.AddWork(trace.SecParallel, v)
 	}
 
-	// ---- merging phase, part 2: cross-chunk group merge. Each thread
-	// found roots within its chunk of the sorted order; the master resolves
-	// parent edges that cross chunk boundaries. The number of cross edges
-	// grows with the thread count.
-	ranges := parallel.Split(n, threads)
-	chunkOf := func(sortedPos int32) int {
-		for t, r := range ranges {
-			if int(sortedPos) < r.Hi {
-				return t
-			}
-		}
-		return threads - 1
-	}
 	posOf := scr.posOf // point -> position in sorted order
 	for s := 0; s < n; s++ {
 		posOf[gr.order[s]] = int32(s)
 	}
-	if timing {
-		tRed = prof.StartTimer(trace.SecReduction)
-	}
-	crossEdges := 0
-	for i := 0; i < n; i++ {
-		p := parent[i]
-		if int(p) != i && chunkOf(posOf[i]) != chunkOf(posOf[p]) {
-			crossEdges++
-		}
-	}
-	if timing {
-		tRed.Stop()
-	}
-	prof.AddWork(trace.SecReduction, float64(crossEdges))
-
-	// ---- serial: root chase with path compression and relabel.
-	if timing {
-		tSer = prof.StartTimer(trace.SecSerial)
-	}
-	root := scr.root
-	var find func(i int32) int32
-	find = func(i int32) int32 {
-		if parent[i] == i {
-			return i
-		}
-		r := find(parent[i])
-		parent[i] = r
-		return r
-	}
-	groups := 0
-	for i := 0; i < n; i++ {
-		root[i] = find(int32(i))
-	}
-	for i := 0; i < n; i++ {
-		if parent[i] == int32(i) {
-			groups++
-		}
-	}
-	if timing {
-		tSer.Stop()
-	}
-	prof.AddWork(trace.SecSerial, float64(2*n))
-
-	out := make([]int, n)
-	for i := range root {
-		out[i] = int(root[i])
-	}
-	return &Result{Group: out, Groups: groups}, prof, nil
+	return scr, prof, gr.cells, nil
 }
 
 // RunNative implements workload.Workload.
 func (w *Hop) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error) {
 	_, prof, err := Run(ds, w.Cfg, threads, timing)
 	return prof, err
+}
+
+// OpCounts implements workload.Workload. Hop's counts depend on the data
+// only through the cross-chunk edges, so one pass at the grid's largest
+// thread count yields every profile: init, parallel and the placement
+// term are thread-independent integer sums (exact in float64), the
+// cell-count merge is threads × cells, and crossEdges recounts the
+// pass's parent edges for each thread count. The work is added in Run's
+// order, so every profile is bit-identical to Run's.
+func (w *Hop) OpCounts(spec datagen.Spec, gen workload.Generator, threads []int) ([]*trace.Profile, error) {
+	if len(threads) == 0 {
+		return nil, nil
+	}
+	maxT := 0
+	for _, t := range threads {
+		if t < 1 {
+			return nil, errors.New("hop: threads must be >= 1")
+		}
+		maxT = max(maxT, t)
+	}
+	ds, err := gen(spec)
+	if err != nil {
+		return nil, err
+	}
+	scr, base, cells, err := pass(ds, w.Cfg, maxT, false)
+	if err != nil {
+		return nil, err
+	}
+	defer scr.release()
+	out := make([]*trace.Profile, len(threads))
+	for i, t := range threads {
+		p := trace.NewProfile("hop", t)
+		p.AddWork(trace.SecInit, base.Work[trace.SecInit])
+		p.AddWork(trace.SecParallel, base.Work[trace.SecParallel])
+		p.AddWork(trace.SecReduction, float64(t*cells))
+		p.AddWork(trace.SecReduction, float64(crossEdges(scr.parent, scr.posOf, t)))
+		p.AddWork(trace.SecSerial, base.Work[trace.SecSerial])
+		p.AddWork(trace.SecSerial, float64(2*ds.N()))
+		out[i] = p
+	}
+	return out, nil
 }
 
 // BuildProgram implements workload.Workload. The generated program mirrors

@@ -205,6 +205,44 @@ func (w *KMeans) RunNative(ds *datagen.Dataset, threads int, timing bool) (*trac
 	return prof, err
 }
 
+// OpCounts implements workload.Workload. Every operation count Run
+// records is a function of (N, D, K, Iters, Strategy, threads) — the
+// merge through reduction.ShapeCost — so the profiles are closed forms,
+// issued in Run's AddWork order and bit-identical to its profiles, and
+// no data set is generated.
+func (w *KMeans) OpCounts(spec datagen.Spec, _ workload.Generator, threads []int) ([]*trace.Profile, error) {
+	cfg := w.Cfg
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	n, d, k := spec.N, spec.D, cfg.K
+	if k > n {
+		return nil, fmt.Errorf("kmeans: K=%d exceeds N=%d", k, n)
+	}
+	out := make([]*trace.Profile, len(threads))
+	for i, t := range threads {
+		if t < 1 {
+			return nil, errors.New("kmeans: threads must be >= 1")
+		}
+		cost, err := reduction.ShapeCost(cfg.Strategy, t, k*(d+1))
+		if err != nil {
+			return nil, err
+		}
+		p := trace.NewProfile("kmeans", t)
+		p.AddWork(trace.SecInit, float64(k*d))
+		for iter := 0; iter < cfg.Iters; iter++ {
+			p.AddWork(trace.SecParallel, float64(n)*opsPerPoint(k, d))
+			p.AddWork(trace.SecReduction, float64(cost.CriticalOps)+float64(2*k*d))
+			p.AddWork(trace.SecSerial, float64(3*k*d))
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
 // BuildProgram implements workload.Workload: it compiles the same phase
 // structure into the simulator IR. Loads and stores are emitted at cache-
 // line granularity; per-point arithmetic is aggregated into compute bursts

@@ -29,11 +29,21 @@ type Workload interface {
 	// recording per-section operation counts (and wall times when timing
 	// is true) into a fresh profile.
 	RunNative(ds *datagen.Dataset, threads int, timing bool) (*trace.Profile, error)
+	// OpCounts returns, for every thread count in threads, the profile
+	// RunNative reports with timing false on the data set gen(spec), bit
+	// for bit, from one derivation for the whole grid: closed forms where
+	// the counts depend only on the spec's shape, one native pass where
+	// they depend on the values. gen is called only in the second case.
+	OpCounts(spec datagen.Spec, gen Generator, threads []int) ([]*trace.Profile, error)
 	// BuildProgram compiles the workload into a simulator program for the
 	// given machine configuration. scale > 1 divides the point count to
 	// keep simulations short (shape-preserving; merge work is unscaled).
 	BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim.Program, error)
 }
+
+// Generator produces the data set of a spec: datagen.Generate, or a
+// memoizing front of it.
+type Generator func(datagen.Spec) (*datagen.Dataset, error)
 
 // Memory layout used by all generated simulator programs. Regions are far
 // apart so they never share cache lines.
@@ -98,11 +108,21 @@ func SimSpeedupCurve(w Workload, ds *datagen.Dataset, coreCounts []int, scale in
 	return SimSpeedupCurveEngine(context.Background(), nil, w, ds, coreCounts, scale)
 }
 
-// NativeProfiles runs the workload natively across the given thread counts.
-func NativeProfiles(w Workload, ds *datagen.Dataset, threadCounts []int, timing bool) ([]*trace.Profile, error) {
+// NativeProfiles returns the workload's native profiles over the thread
+// grid on the data set gen(spec). Operation counts (timing false) come
+// from one OpCounts derivation for the whole grid; wall times (timing
+// true) need one real run per thread count.
+func NativeProfiles(w Workload, spec datagen.Spec, gen Generator, threadCounts []int, timing bool) ([]*trace.Profile, error) {
+	if !timing {
+		return w.OpCounts(spec, gen, threadCounts)
+	}
+	ds, err := gen(spec)
+	if err != nil {
+		return nil, err
+	}
 	var out []*trace.Profile
 	for _, th := range threadCounts {
-		p, err := w.RunNative(ds, th, timing)
+		p, err := w.RunNative(ds, th, true)
 		if err != nil {
 			return nil, err
 		}

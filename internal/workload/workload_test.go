@@ -112,18 +112,24 @@ func TestResultToProfileRejectsUnknownPhase(t *testing.T) {
 
 func TestNativeProfilesThreadGrid(t *testing.T) {
 	ds := testData(t, 44)
+	gen := func(datagen.Spec) (*datagen.Dataset, error) { return ds, nil }
 	km := kmeans.New()
 	km.Cfg.Iters = 2
-	profiles, err := workload.NativeProfiles(km, ds, []int{1, 3, 5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 3 {
-		t.Fatalf("got %d profiles", len(profiles))
-	}
-	for i, want := range []int{1, 3, 5} {
-		if profiles[i].Threads != want {
-			t.Errorf("profile %d threads = %d, want %d", i, profiles[i].Threads, want)
+	for _, timing := range []bool{false, true} {
+		profiles, err := workload.NativeProfiles(km, ds.Spec, gen, []int{1, 3, 5}, timing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(profiles) != 3 {
+			t.Fatalf("timing=%v: got %d profiles", timing, len(profiles))
+		}
+		for i, want := range []int{1, 3, 5} {
+			if profiles[i].Threads != want {
+				t.Errorf("timing=%v: profile %d threads = %d, want %d", timing, i, profiles[i].Threads, want)
+			}
+			if got := profiles[i].SectionDuration(trace.SecParallel) > 0; got != timing {
+				t.Errorf("timing=%v: profile %d has parallel wall time %v", timing, i, got)
+			}
 		}
 	}
 }

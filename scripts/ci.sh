@@ -22,6 +22,14 @@ echo "== go test -race (shuffled) =="
 # than in a future reordering.
 go test -race -shuffle=on ./...
 
+echo "== multicore schedules (GOMAXPROCS=4, 10 passes) =="
+# CI runners have had one CPU, where goroutines rarely interleave; a
+# schedule-dependent claim (chaos replay, worker-count identity, stream
+# order) then passes here and fails on a developer's machine. Ten passes
+# at GOMAXPROCS=4 over the packages that make such claims let it fail
+# here instead.
+GOMAXPROCS=4 go test -count=10 ./cmd/mergescale ./internal/faults ./internal/serve ./internal/experiments ./internal/workload/...
+
 echo "== go test -bench (1 iteration) =="
 go test -bench=. -benchtime=1x -run '^$' .
 
