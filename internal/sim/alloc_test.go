@@ -52,7 +52,8 @@ func TestDirectorySteadyStateZeroAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := uint64(0); i < n; i++ {
-			d.get(i << 6).addSharer(int(i % 64))
+			e, _ := d.get(i << 6)
+			e.addSharer(int(i % 64))
 		}
 	})
 	if allocs != 0 {

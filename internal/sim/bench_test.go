@@ -20,7 +20,7 @@ func BenchmarkSimDirectoryHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := d.get(uint64(i%lines) << 6)
+		e, _ := d.get(uint64(i%lines) << 6)
 		e.addSharer(i % 64)
 	}
 }

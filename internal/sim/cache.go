@@ -28,10 +28,12 @@ func (s mesiState) String() string {
 	}
 }
 
-// cacheLine is one way of one set.
+// cacheLine is one way of one set: 24 bytes, ref filling what would
+// otherwise be padding after state.
 type cacheLine struct {
 	tag     uint64
 	state   mesiState
+	ref     dirRef // the line's directory entry, see directory.at
 	lastUse uint64 // LRU timestamp
 }
 
@@ -77,13 +79,6 @@ func (c *cache) base(lineAddr uint64) int {
 	return int(lineAddr&c.setMask) * c.ways
 }
 
-// set returns lineAddr's set as a sub-slice (test hook; the access paths
-// below index c.lines directly).
-func (c *cache) set(lineAddr uint64) []cacheLine {
-	idx := c.base(lineAddr)
-	return c.lines[idx : idx+c.ways]
-}
-
 // lookup returns the line holding lineAddr, or nil on miss. A hit updates
 // the LRU clock.
 func (c *cache) lookup(lineAddr uint64) *cacheLine {
@@ -99,10 +94,11 @@ func (c *cache) lookup(lineAddr uint64) *cacheLine {
 	return nil
 }
 
-// insert places lineAddr in the cache with the given state, evicting the
-// LRU way if needed. It returns the evicted line address and its state
-// (stateInvalid when no valid line was evicted).
-func (c *cache) insert(lineAddr uint64, st mesiState) (evictedAddr uint64, evictedState mesiState) {
+// insert places lineAddr, whose directory entry is ref, in the cache with
+// the given state, evicting the LRU way if needed. It returns the evicted
+// line and its address; ev.state is stateInvalid when no valid line was
+// evicted.
+func (c *cache) insert(lineAddr uint64, ref dirRef, st mesiState) (evAddr uint64, ev cacheLine) {
 	c.tick++
 	base := c.base(lineAddr)
 	tag := lineAddr / uint64(c.sets)
@@ -116,13 +112,12 @@ func (c *cache) insert(lineAddr uint64, st mesiState) (evictedAddr uint64, evict
 			victim = i
 		}
 	}
-	ev := c.lines[victim]
-	c.lines[victim] = cacheLine{tag: tag, state: st, lastUse: c.tick}
+	ev = c.lines[victim]
+	c.lines[victim] = cacheLine{tag: tag, state: st, ref: ref, lastUse: c.tick}
 	if ev.state == stateInvalid {
-		return 0, stateInvalid
+		return 0, ev
 	}
-	evictedLineAddr := ev.tag*uint64(c.sets) + (lineAddr & c.setMask)
-	return evictedLineAddr, ev.state
+	return ev.tag*uint64(c.sets) + (lineAddr & c.setMask), ev
 }
 
 // invalidate drops lineAddr if present, returning its previous state.
@@ -208,33 +203,33 @@ type dirEntry struct {
 const dirPageShift = 6
 
 // dirPage is the directory record of 64 consecutive lines, stored inline
-// and pointer-free. live marks the lines touched since the page was
-// handed out (bit i for line base+i).
-type dirPage struct {
-	ents [1 << dirPageShift]dirEntry
-	live uint64
-}
+// and pointer-free.
+type dirPage [1 << dirPageShift]dirEntry
 
 // freshPage is the state of a page no line has touched: every entry has
 // no owner and no sharers.
 var freshPage = func() (p dirPage) {
-	for i := range p.ents {
-		p.ents[i].owner = -1
+	for i := range p {
+		p[i].owner = -1
 	}
 	return p
 }()
 
+// dirRef names a directory entry without a map lookup: its page's number
+// (pages are numbered as they are handed out) times 64, plus its slot.
+// 32 bits cover 2^26 pages, 170 GB of entries.
+type dirRef uint32
+
 // directory tracks L1 residency for every line touched so far. Entries
-// live in fixed pages of 64 consecutive lines, found through a map keyed
-// by line>>dirPageShift, so the sequential line runs workloads sweep
-// touch adjacent memory and the map stays small (one key per 64 lines).
-// Pages never move: a *dirEntry returned by get stays valid, and keeps
-// its value, until reset. reset recycles pages through a free list, so a
-// reused directory allocates nothing until it needs more pages than any
-// earlier run did.
+// live in fixed pages of 64 consecutive lines, so the line runs workloads
+// sweep touch adjacent memory; a pointer-free map from line>>dirPageShift
+// to the page's number finds them. Pages never move: a *dirEntry or
+// dirRef from get stays valid, and keeps its value, until reset, which
+// keeps every page for the next run.
 type directory struct {
-	pages map[uint64]*dirPage
-	free  []*dirPage
+	index map[uint64]uint32 // line>>dirPageShift -> page number
+	pages []*dirPage        // pages[:used] are in use, the rest wait for reuse
+	used  int
 }
 
 func newDirectory() *directory {
@@ -244,50 +239,43 @@ func newDirectory() *directory {
 }
 
 func (d *directory) init() {
-	d.pages = make(map[uint64]*dirPage)
+	d.index = make(map[uint64]uint32)
 }
 
-// reset drops every entry, moving the pages to the free list for reuse.
+// reset drops every entry, keeping the pages for reuse.
 func (d *directory) reset() {
-	for _, p := range d.pages {
-		d.free = append(d.free, p)
-	}
-	clear(d.pages)
+	clear(d.index)
+	d.used = 0
 }
 
-// get returns the entry for lineAddr; a line not seen before has no owner
-// and no sharers.
-func (d *directory) get(lineAddr uint64) *dirEntry {
+// get returns the entry for lineAddr and its ref; a line not seen before
+// has no owner and no sharers.
+func (d *directory) get(lineAddr uint64) (*dirEntry, dirRef) {
 	k := lineAddr >> dirPageShift
-	p := d.pages[k]
-	if p == nil {
-		p = d.newPage()
-		d.pages[k] = p
+	n, ok := d.index[k]
+	if !ok {
+		n = d.newPage()
+		d.index[k] = n
 	}
-	i := lineAddr & (1<<dirPageShift - 1)
-	p.live |= 1 << i
-	return &p.ents[i]
+	i := uint32(lineAddr & (1<<dirPageShift - 1))
+	return &d.pages[n][i], dirRef(n<<dirPageShift | i)
 }
 
-// newPage returns a fresh page, from the free list when it has one.
-func (d *directory) newPage() *dirPage {
-	var p *dirPage
-	if n := len(d.free); n > 0 {
-		p, d.free = d.free[n-1], d.free[:n-1]
-	} else {
-		p = new(dirPage)
-	}
-	*p = freshPage
-	return p
+// at returns the entry a ref from get names.
+func (d *directory) at(r dirRef) *dirEntry {
+	return &d.pages[r>>dirPageShift][r&(1<<dirPageShift-1)]
 }
 
-// len returns the number of tracked lines (test hook).
-func (d *directory) len() int {
-	n := 0
-	for _, p := range d.pages {
-		n += bits.OnesCount64(p.live)
+// newPage hands out a fresh page, reusing one from an earlier run when it
+// can, and returns its number.
+func (d *directory) newPage() uint32 {
+	if d.used == len(d.pages) {
+		d.pages = append(d.pages, new(dirPage))
 	}
-	return n
+	n := d.used
+	d.used++
+	*d.pages[n] = freshPage
+	return uint32(n)
 }
 
 // maxInv returns the invalidation count of the most-invalidated line — the
@@ -295,10 +283,10 @@ func (d *directory) len() int {
 // max (not an address) keeps the result independent of page order.
 func (d *directory) maxInv() uint64 {
 	var peak uint32
-	for _, p := range d.pages {
-		for i := range p.ents {
-			if p.ents[i].inv > peak {
-				peak = p.ents[i].inv
+	for _, p := range d.pages[:d.used] {
+		for i := range p {
+			if p[i].inv > peak {
+				peak = p[i].inv
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCacheHitAfterInsert(t *testing.T) {
@@ -10,7 +12,7 @@ func TestCacheHitAfterInsert(t *testing.T) {
 	if c.lookup(5) != nil {
 		t.Fatal("empty cache should miss")
 	}
-	c.insert(5, stateShared)
+	c.insert(5, 0, stateShared)
 	l := c.lookup(5)
 	if l == nil || l.state != stateShared {
 		t.Fatal("inserted line should hit")
@@ -19,12 +21,12 @@ func TestCacheHitAfterInsert(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(2*64, 2, 64) // 2 lines, 1 set, 2 ways
-	c.insert(0, stateShared)
-	c.insert(1, stateModified)
+	c.insert(0, 10, stateShared)
+	c.insert(1, 11, stateModified)
 	c.lookup(0) // make 0 most recently used
-	evAddr, evState := c.insert(2, stateShared)
-	if evAddr != 1 || evState != stateModified {
-		t.Fatalf("expected to evict line 1 (M), got %d (%v)", evAddr, evState)
+	evAddr, ev := c.insert(2, 12, stateShared)
+	if evAddr != 1 || ev.state != stateModified || ev.ref != 11 {
+		t.Fatalf("expected to evict line 1 (M, ref 11), got %d (%v, ref %d)", evAddr, ev.state, ev.ref)
 	}
 	if c.lookup(0) == nil || c.lookup(2) == nil || c.lookup(1) != nil {
 		t.Fatal("post-eviction residency wrong")
@@ -35,9 +37,9 @@ func TestCacheEvictedAddressReconstruction(t *testing.T) {
 	// Lines mapping to the same set must round-trip their address through
 	// tag reconstruction on eviction.
 	c := newCache(8*64, 1, 64) // 8 sets, direct-mapped
-	c.insert(3, stateShared)
-	evAddr, evState := c.insert(3+8, stateShared) // same set (3 mod 8)
-	if evState == stateInvalid {
+	c.insert(3, 0, stateShared)
+	evAddr, ev := c.insert(3+8, 0, stateShared) // same set (3 mod 8)
+	if ev.state == stateInvalid {
 		t.Fatal("expected eviction")
 	}
 	if evAddr != 3 {
@@ -47,7 +49,7 @@ func TestCacheEvictedAddressReconstruction(t *testing.T) {
 
 func TestCacheInvalidateAndDowngrade(t *testing.T) {
 	c := newCache(1024, 2, 64)
-	c.insert(7, stateModified)
+	c.insert(7, 0, stateModified)
 	if st := c.downgrade(7); st != stateModified {
 		t.Errorf("downgrade returned %v", st)
 	}
@@ -71,7 +73,7 @@ func TestCacheInvalidateAndDowngrade(t *testing.T) {
 func TestCacheCapacityNeverExceeded(t *testing.T) {
 	c := newCache(16*64, 4, 64) // 16 lines
 	for a := uint64(0); a < 1000; a++ {
-		c.insert(a, stateShared)
+		c.insert(a, 0, stateShared)
 		if got := c.countValid(); got > 16 {
 			t.Fatalf("cache holds %d lines, capacity 16", got)
 		}
@@ -83,10 +85,10 @@ func TestCacheCapacityNeverExceeded(t *testing.T) {
 
 func TestCacheSetIsolation(t *testing.T) {
 	// Filling one set must not evict lines in other sets.
-	c := newCache(8*64, 2, 64) // 4 sets, 2 ways
-	c.insert(1, stateShared)   // set 1
+	c := newCache(8*64, 2, 64)  // 4 sets, 2 ways
+	c.insert(1, 0, stateShared) // set 1
 	for i := 0; i < 10; i++ {
-		c.insert(uint64(4*i), stateShared) // all set 0
+		c.insert(uint64(4*i), 0, stateShared) // all set 0
 	}
 	if c.lookup(1) == nil {
 		t.Error("set-0 thrashing evicted a set-1 line")
@@ -98,7 +100,7 @@ func TestCachePropertyMostRecentSurvives(t *testing.T) {
 	pred := func(addrs []uint16) bool {
 		c := newCache(32*64, 4, 64)
 		for _, a := range addrs {
-			c.insert(uint64(a), stateShared)
+			c.insert(uint64(a), 0, stateShared)
 		}
 		if len(addrs) == 0 {
 			return true
@@ -113,7 +115,7 @@ func TestCachePropertyMostRecentSurvives(t *testing.T) {
 
 func TestDirectorySharers(t *testing.T) {
 	d := newDirectory()
-	e := d.get(42)
+	e, _ := d.get(42)
 	if e.sharerCount() != 0 || e.owner != -1 {
 		t.Fatal("fresh entry should be empty")
 	}
@@ -129,7 +131,7 @@ func TestDirectorySharers(t *testing.T) {
 	if e.hasSharer(3) || e.sharerCount() != 1 {
 		t.Error("dropSharer failed")
 	}
-	if d.get(42) != e {
+	if got, _ := d.get(42); got != e {
 		t.Error("directory should return the same entry")
 	}
 }
@@ -140,5 +142,64 @@ func TestMESIStateString(t *testing.T) {
 		if st.String() != want {
 			t.Errorf("%v.String() = %q", int(st), st.String())
 		}
+	}
+}
+
+// TestCacheRefsResolveToOwnLine checks the ref every cached line carries:
+// after random multi-core programs (small caches, so lines are evicted,
+// back-invalidated and refilled), and again after a Reset and rerun that
+// reuses the directory's pages, each valid L1 and L2 line's ref must
+// resolve to the very entry get returns for the line's address.
+func TestCacheRefsResolveToOwnLine(t *testing.T) {
+	for _, cores := range []int{2, 8, 64, 256} {
+		rng := rand.New(rand.NewSource(int64(cores)))
+		cfg := DefaultConfig(cores)
+		cfg.L1Size = 4 << 10
+		cfg.L2Size = 64 << 10
+		prog := randomProgram(t, rng, cores, 3)
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			if rep > 0 {
+				m.Reset()
+			}
+			if _, err := m.Run(prog); err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			check := func(name string, c *cache) {
+				for i, l := range c.lines {
+					if l.state == stateInvalid {
+						continue
+					}
+					addr := l.tag*uint64(c.sets) + uint64(i/c.ways)
+					if e, _ := m.dir.get(addr); m.dir.at(l.ref) != e {
+						t.Fatalf("cores %d rep %d: %s line %#x: ref %#x resolves to another entry", cores, rep, name, addr, l.ref)
+					}
+					checked++
+				}
+			}
+			for id := range m.l1 {
+				check("L1", &m.l1[id])
+			}
+			check("L2", &m.l2)
+			if checked == 0 {
+				t.Fatalf("cores %d: no valid lines to check", cores)
+			}
+		}
+	}
+}
+
+// TestHotPathLayout pins the sizes the hot loops are tuned for: a cache
+// line keeps its directory ref in what would be padding (24 bytes), and a
+// scheduler heap entry carries its key inline in 16 bytes.
+func TestHotPathLayout(t *testing.T) {
+	if size := unsafe.Sizeof(cacheLine{}); size != 24 {
+		t.Errorf("sizeof(cacheLine) = %d bytes, want 24", size)
+	}
+	if size := unsafe.Sizeof(schedEnt{}); size != 16 {
+		t.Errorf("sizeof(schedEnt) = %d bytes, want 16", size)
 	}
 }

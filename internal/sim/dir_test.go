@@ -18,7 +18,7 @@ type refEntry struct {
 // map[uint64]*refEntry through an identical randomized op sequence (get /
 // addSharer / dropSharer / owner writes over keys that straddle page
 // boundaries and span thousands of pages) and requires identical
-// observable state.
+// observable state, with every ref resolving to the entry get returned.
 func TestDirectoryMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d := newDirectory()
@@ -45,7 +45,11 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 		default:
 			line = uint64(rng.Intn(1 << 20))
 		}
-		e, r := d.get(line), refGet(line)
+		e, ref := d.get(line)
+		if d.at(ref) != e {
+			t.Fatalf("op %d: line %#x: at(%#x) is not the entry get returned", i, line, ref)
+		}
+		r := refGet(line)
 		switch rng.Intn(5) {
 		case 0:
 			core := rng.Intn(cores)
@@ -71,11 +75,15 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
-	if d.len() != len(ref) {
-		t.Fatalf("table has %d entries, reference %d", d.len(), len(ref))
+	refPages := map[uint64]bool{}
+	for line := range ref {
+		refPages[line>>dirPageShift] = true
+	}
+	if d.used != len(refPages) || len(d.index) != len(refPages) {
+		t.Fatalf("directory uses %d pages under %d keys, the reference's lines span %d", d.used, len(d.index), len(refPages))
 	}
 	for line, r := range ref {
-		e := d.get(line)
+		e, _ := d.get(line)
 		if e.owner != r.owner {
 			t.Errorf("line %#x: owner %d, reference %d", line, e.owner, r.owner)
 		}
@@ -129,53 +137,53 @@ func TestSharerCountMatchesReference(t *testing.T) {
 }
 
 // TestDirectoryPointerStability locks the property Machine.access relies
-// on: an entry pointer stays valid, and keeps its value, however many
-// unseen lines are inserted after it was taken.
+// on: an entry pointer and its ref stay valid, and keep their value,
+// however many unseen lines are inserted after they were taken.
 func TestDirectoryPointerStability(t *testing.T) {
 	d := newDirectory()
 	const first = 1<<dirPageShift - 1 // last line of its page
-	e := d.get(first)
+	e, ref := d.get(first)
 	e.addSharer(7)
 	e.owner = 3
 	e.inv = 9
 	for i := uint64(0); i < 100_000; i++ {
 		d.get(1<<20 + 3*i) // unseen lines across ~4.7k new pages
 	}
-	if got := d.get(first); got != e {
-		t.Fatal("inserting unseen lines moved an earlier entry")
+	if got, gotRef := d.get(first); got != e || gotRef != ref || d.at(ref) != e {
+		t.Fatal("inserting unseen lines moved an earlier entry or changed its ref")
 	}
 	if !e.hasSharer(7) || e.sharerCount() != 1 || e.owner != 3 || e.inv != 9 {
 		t.Errorf("entry value lost across inserts: %+v", *e)
 	}
 }
 
-// TestDirectoryReset verifies reset drops every entry and hands the pages
-// to the free list, and that a line seen before the reset comes back
-// fresh.
+// TestDirectoryReset verifies reset drops every entry and keeps the pages
+// for reuse, and that a line seen before the reset comes back fresh.
 func TestDirectoryReset(t *testing.T) {
 	d := newDirectory()
 	for i := uint64(0); i < 5000; i++ {
-		e := d.get(i)
+		e, _ := d.get(i)
 		e.addSharer(1)
 		e.owner = 1
 		e.inv = 2
 	}
-	pages := len(d.pages)
-	if want := (5000 + 1<<dirPageShift - 1) >> dirPageShift; pages != want {
-		t.Fatalf("5000 lines use %d pages, want %d", pages, want)
+	pages := d.used
+	if want := (5000 + 1<<dirPageShift - 1) >> dirPageShift; pages != want || len(d.index) != want {
+		t.Fatalf("5000 lines use %d pages under %d keys, want %d", pages, len(d.index), want)
 	}
 	d.reset()
-	if d.len() != 0 || len(d.pages) != 0 {
-		t.Fatalf("reset left %d entries in %d pages", d.len(), len(d.pages))
+	if d.used != 0 || len(d.index) != 0 {
+		t.Fatalf("reset left %d pages in use under %d keys", d.used, len(d.index))
 	}
-	if len(d.free) != pages {
-		t.Fatalf("reset freed %d pages, want %d", len(d.free), pages)
+	if len(d.pages) != pages {
+		t.Fatalf("reset kept %d pages for reuse, want %d", len(d.pages), pages)
 	}
-	if e := d.get(3); e.owner != -1 || e.sharers != (sharerSet{}) || e.inv != 0 {
+	e, ref := d.get(3)
+	if e.owner != -1 || e.sharers != (sharerSet{}) || e.inv != 0 {
 		t.Errorf("entry after reset is not fresh: %+v", *e)
 	}
-	if len(d.free) != pages-1 {
-		t.Errorf("a new page after reset did not come from the free list: %d free, want %d", len(d.free), pages-1)
+	if ref != 3 || d.used != 1 || len(d.pages) != pages {
+		t.Errorf("a new page after reset was not the first kept one: ref %d, %d used of %d, want ref 3, 1 of %d", ref, d.used, len(d.pages), pages)
 	}
 	if d.maxInv() != 0 {
 		t.Errorf("maxInv after reset = %d, want 0", d.maxInv())

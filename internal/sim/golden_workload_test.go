@@ -13,10 +13,17 @@ import (
 // TestRunSerialGoldenWorkloads extends the random-program golden to every
 // real program source the repo simulates: the registry workloads (kmeans,
 // fuzzy c-means, hop accumulation) and both modes of the contended zipf
-// family, at 4 and 16 cores. Each case runs twice on one machine with a
-// Reset between, and both runs must hit the recorded digest.
+// family, at 4 and 16 cores on a 1024-point set at scale 8, and at 64 and
+// 256 cores (multi-word sharer sets, the 256-core directory and victim
+// paths) on a 2048-point set at scale 2, which keeps hop's n >= 4·cores.
+// Each case runs twice on one machine with a Reset between, and both runs
+// must hit the recorded digest.
 func TestRunSerialGoldenWorkloads(t *testing.T) {
 	ds, err := datagen.Generate(datagen.Spec{Label: "par", N: 1024, D: 4, C: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := datagen.Generate(datagen.Spec{Label: "many", N: 2048, D: 4, C: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +51,24 @@ func TestRunSerialGoldenWorkloads(t *testing.T) {
 		{"contend-joined", 16, "59db6e34929659d66e5208dbc00566b8feca7161f0088c698bc5b10cbb982e19"},
 		{"contend-split", 4, "c10d45874b76beea417c5592c40b55853cdc37011a49081cdcb0aca90a2cf426"},
 		{"contend-split", 16, "b8dda2af24b69999d17b94fc79d5fa55c383853fcf4231b02680d8328c7f73f5"},
+		{"kmeans", 64, "bbd941962d0f7c0dc2a82024fce4fcc492bc642bae5e34912a7e781cf3d46029"},
+		{"kmeans", 256, "aeccd75cff523e65f21be372453a389809c68c0187abf2e206040fd2e74f1db4"},
+		{"fuzzy", 64, "0f57e62eff014d6a99b8c79cd1edc3296b6b241087f40e626a1cfa8fabd95c71"},
+		{"fuzzy", 256, "4a68bf347363a05a9046c78d76beb447a65432303895605f70d8bbb08a9b7768"},
+		{"hop", 64, "93992e9db4edbe59a21761609c4bdc28170fc023e0c07f1e80c990eccc6ff919"},
+		{"hop", 256, "6bff5db5d50a7bb47f354101c6a24bc2d04b25291ba633f3746a5955946aed99"},
+		{"contend-joined", 64, "c1ef67007c3abd0fdbfd58de4f0616fbafed7f6a4868321e8d26990457d9df5e"},
+		{"contend-joined", 256, "b7dcf2a4403c14cabc6db337de441af720c5361210b60e98d2fb8b55683f1a98"},
+		{"contend-split", 64, "0e8d1a85c38fb1f0ced1e6b2f54a99a52fba887aa27e01c0f424d1d270edff47"},
+		{"contend-split", 256, "5eb8b601e9b27afe32185ba7e9860076e58e07c5ddf9e1bb43eead3a5ecae00d"},
 	}
 	for _, g := range golden {
 		cfg := sim.DefaultConfig(g.cores)
-		prog, err := workloads[g.name].BuildProgram(ds, cfg, 8)
+		data, scale := ds, 8
+		if g.cores >= 64 {
+			data, scale = many, 2
+		}
+		prog, err := workloads[g.name].BuildProgram(data, cfg, scale)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}

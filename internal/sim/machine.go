@@ -124,7 +124,7 @@ type Machine struct {
 	dir    directory
 	l2Hops uint64      // average requester-to-L2-bank distance, cycles already folded in access()
 	cores  []coreState // per-run scheduler scratch, reused across Reset
-	sched  []int32     // scheduler min-heap scratch
+	sched  []schedEnt  // scheduler min-heap scratch
 
 	coreTimeBuf []uint64    // Result.CoreTime backing, recycled across runs
 	phasesBuf   []PhaseTime // Result.Phases backing, recycled across runs
@@ -152,7 +152,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.l2.init(cfg.L2Size, cfg.L2Ways, cfg.LineSz)
 	m.l2Hops = uint64(math.Ceil(net.AvgHops()))
 	m.cores = make([]coreState, cfg.Cores)
-	m.sched = make([]int32, 0, cfg.Cores)
+	m.sched = make([]schedEnt, 0, cfg.Cores)
 	m.coreTimeBuf = make([]uint64, cfg.Cores)
 	return m, nil
 }
@@ -216,44 +216,49 @@ func (m *Machine) Run(prog *Program) (Result, error) {
 	return m.run(prog)
 }
 
-// schedLess orders the scheduler heap: lowest core time first, ties broken
+// schedEnt is one scheduler heap entry: a core's id and its time as of
+// its last op, held inline so a sift never reads coreState.
+type schedEnt struct {
+	t  uint64
+	id int32
+}
+
+// before orders the scheduler heap: lowest core time first, ties broken
 // by lowest core id — exactly the selection rule of the linear scan it
 // replaced (strict < while iterating ids ascending).
-func (m *Machine) schedLess(a, b int32) bool {
-	ca, cb := &m.cores[a], &m.cores[b]
-	return ca.time < cb.time || (ca.time == cb.time && a < b)
+func (a schedEnt) before(b schedEnt) bool {
+	return a.t < b.t || (a.t == b.t && a.id < b.id)
 }
 
 // schedFix restores the heap property after the root's time increased:
-// sift the root down. The scheduler only ever changes the root (the core
-// just executed), so this is the whole heap maintenance — O(log P) per op
-// instead of the former O(P) scan.
-func (m *Machine) schedFix(h []int32) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && m.schedLess(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && m.schedLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+// sift the root down, moving a hole instead of swapping. The scheduler
+// only ever changes the root (the core just executed), so this is the
+// whole heap maintenance — O(log P) per op.
+func schedFix(h []schedEnt) {
+	if len(h) == 0 {
+		return
 	}
+	x, i := h[0], 0
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // schedPop removes the root (a core that finished or blocked at a
 // barrier) and restores the heap.
-func (m *Machine) schedPop(h []int32) []int32 {
+func schedPop(h []schedEnt) []schedEnt {
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
-	m.schedFix(h)
+	schedFix(h)
 	return h
 }
 
@@ -298,14 +303,14 @@ func (m *Machine) run(prog *Program) (Result, error) {
 	h := m.sched[:0]
 	for id := range prog.Streams {
 		if len(prog.Streams[id]) > 0 {
-			h = append(h, int32(id))
+			h = append(h, schedEnt{id: int32(id)})
 		}
 	}
 
 	for len(h) > 0 {
 		// The root is the lowest-time unblocked core with ops left
 		// (tie: lowest id).
-		sel := int(h[0])
+		sel := int(h[0].id)
 		c := &cores[sel]
 		op := prog.Streams[sel][c.pc]
 		c.pc++
@@ -327,7 +332,7 @@ func (m *Machine) run(prog *Program) (Result, error) {
 			phaseStart = c.time
 		case OpBarrier:
 			arrivals++
-			h = m.schedPop(h) // blocked: out of the heap until release
+			h = schedPop(h) // blocked: out of the heap until release
 			if arrivals == m.cfg.Cores {
 				var maxT uint64
 				for id := range cores {
@@ -346,16 +351,17 @@ func (m *Machine) run(prog *Program) (Result, error) {
 				h = h[:0]
 				for id := range prog.Streams {
 					if cores[id].pc < len(prog.Streams[id]) {
-						h = append(h, int32(id))
+						h = append(h, schedEnt{t: release, id: int32(id)})
 					}
 				}
 			}
 			continue
 		}
 		if c.pc >= len(prog.Streams[sel]) {
-			h = m.schedPop(h)
+			h = schedPop(h)
 		} else {
-			m.schedFix(h)
+			h[0].t = c.time
+			schedFix(h)
 		}
 	}
 	if arrivals > 0 {
@@ -383,27 +389,22 @@ func (m *Machine) run(prog *Program) (Result, error) {
 // is preallocated.
 func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 {
 	line := addr >> m.cfg.lineShift()
-	l1 := &m.l1[id]
-	// Directory entries never move within a run, so e stays valid across
-	// the eviction lookups below.
-	e := m.dir.get(line)
 	lat := m.cfg.L1Lat
 
-	if hit := l1.lookup(line); hit != nil {
+	if hit := m.l1[id].lookup(line); hit != nil {
 		ctr.L1Hits++
-		if !write {
-			return lat // read hit in any valid state
+		if !write || hit.state == stateModified {
+			return lat // read hit in any valid state, or write hit in M
 		}
+		e := m.dir.at(hit.ref)
 		switch hit.state {
-		case stateModified:
-			return lat
 		case stateExclusive:
 			hit.state = stateModified
 			e.owner = int16(id)
 			return lat
 		case stateShared:
 			// Upgrade: invalidate all other sharers.
-			lat += m.invalidateOthers(id, line, e, ctr)
+			lat += m.invalidateOthers(id, line, hit.ref, e, ctr)
 			hit.state = stateModified
 			e.owner = int16(id)
 			e.sharers.only(id)
@@ -411,6 +412,9 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 		}
 	}
 	ctr.L1Misses++
+	// The one map lookup of an access. Directory entries never move within
+	// a run, so e stays valid across the eviction lookups below.
+	e, ref := m.dir.get(line)
 
 	// Remote M copy? Intervene with a cache-to-cache transfer.
 	if e.owner >= 0 && int(e.owner) != id {
@@ -429,8 +433,8 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 				e.addSharer(owner)
 			}
 			e.owner = -1
-			m.installL2(line, ctr) // dirty data written back to L2
-			m.installL1(id, line, write, e, ctr)
+			m.installL2(line, ref, ctr) // dirty data written back to L2
+			m.installL1(id, line, ref, write, e, ctr)
 			if write {
 				e.owner = int16(id)
 				e.sharers.only(id)
@@ -445,7 +449,7 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 	}
 
 	if write {
-		lat += m.invalidateOthers(id, line, e, ctr)
+		lat += m.invalidateOthers(id, line, ref, e, ctr)
 	}
 
 	// L2 (shared, at average mesh distance).
@@ -455,10 +459,10 @@ func (m *Machine) access(id int, addr uint64, write bool, ctr *Counters) uint64 
 	} else {
 		ctr.L2Misses++
 		lat += m.cfg.MemLat
-		m.installL2(line, ctr)
+		m.installL2(line, ref, ctr)
 	}
 
-	m.installL1(id, line, write, e, ctr)
+	m.installL1(id, line, ref, write, e, ctr)
 	if write {
 		e.owner = int16(id)
 		e.sharers.only(id)
@@ -481,11 +485,12 @@ func noteSharerPeak(e *dirEntry, ctr *Counters) {
 	}
 }
 
-// invalidateOthers invalidates every other L1 copy of line, returning the
-// added latency. It walks the set bits of the sharer vector word by word —
-// O(sharers), not O(Cores) — in ascending core order, which keeps the
-// latency sum and inv increments deterministic.
-func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counters) uint64 {
+// invalidateOthers invalidates every other L1 copy of line (directory
+// entry e at ref), returning the added latency. It walks the set bits of
+// the sharer vector word by word — O(sharers), not O(Cores) — in
+// ascending core order, which keeps the latency sum and inv increments
+// deterministic.
+func (m *Machine) invalidateOthers(id int, line uint64, ref dirRef, e *dirEntry, ctr *Counters) uint64 {
 	var lat uint64
 	for wi := range e.sharers {
 		w := e.sharers[wi]
@@ -501,7 +506,7 @@ func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counte
 				ctr.Invalidations++
 				e.inv++
 				if st == stateModified {
-					m.installL2(line, ctr)
+					m.installL2(line, ref, ctr)
 					ctr.WriteBacks++
 				}
 			}
@@ -514,42 +519,43 @@ func (m *Machine) invalidateOthers(id int, line uint64, e *dirEntry, ctr *Counte
 	return lat
 }
 
-// installL1 inserts line into core id's L1 with the proper state, handling
-// the eviction side effects (directory update, dirty writeback).
-func (m *Machine) installL1(id int, line uint64, write bool, e *dirEntry, ctr *Counters) {
+// installL1 inserts line (directory entry e at ref) into core id's L1
+// with the proper state, handling the eviction side effects (directory
+// update, dirty writeback).
+func (m *Machine) installL1(id int, line uint64, ref dirRef, write bool, e *dirEntry, ctr *Counters) {
 	st := stateShared
 	if write {
 		st = stateModified
 	} else if e.sharerCount() == 0 {
 		st = stateExclusive
 	}
-	evAddr, evState := m.l1[id].insert(line, st)
-	if evState == stateInvalid {
+	evAddr, evLine := m.l1[id].insert(line, ref, st)
+	if evLine.state == stateInvalid {
 		return
 	}
-	ev := m.dir.get(evAddr)
+	ev := m.dir.at(evLine.ref)
 	ev.dropSharer(id)
 	if ev.owner == int16(id) {
 		ev.owner = -1
 	}
-	if evState == stateModified {
+	if evLine.state == stateModified {
 		ctr.WriteBacks++
-		m.installL2(evAddr, ctr)
+		m.installL2(evAddr, evLine.ref, ctr)
 	}
 }
 
-// installL2 ensures line is present in the (inclusive) L2, back-invalidating
-// L1 copies of any valid victim.
-func (m *Machine) installL2(line uint64, ctr *Counters) {
+// installL2 ensures line (directory ref ref) is present in the (inclusive)
+// L2, back-invalidating L1 copies of any valid victim.
+func (m *Machine) installL2(line uint64, ref dirRef, ctr *Counters) {
 	if m.l2.lookup(line) != nil {
 		return
 	}
-	evAddr, evState := m.l2.insert(line, stateShared)
-	if evState == stateInvalid {
+	evAddr, evLine := m.l2.insert(line, ref, stateShared)
+	if evLine.state == stateInvalid {
 		return
 	}
 	ctr.L2Evictions++
-	ev := m.dir.get(evAddr)
+	ev := m.dir.at(evLine.ref)
 	for wi := range ev.sharers {
 		w := ev.sharers[wi]
 		base := wi << 6

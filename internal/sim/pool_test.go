@@ -110,8 +110,8 @@ func TestMachineSingleUseGuards(t *testing.T) {
 }
 
 // TestResetReusesTables asserts Reset keeps every table (the property
-// that makes pooling allocation-free): the directory's pages go to its
-// free list, and all residency is cleared.
+// that makes pooling allocation-free): the directory keeps its pages for
+// reuse, and all residency is cleared.
 func TestResetReusesTables(t *testing.T) {
 	cfg := DefaultConfig(4)
 	m, err := NewMachine(cfg)
@@ -129,18 +129,18 @@ func TestResetReusesTables(t *testing.T) {
 	if _, err := m.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	pages := len(m.dir.pages)
-	if m.dir.len() == 0 {
+	pages := m.dir.used
+	if pages == 0 {
 		t.Fatal("run tracked no lines")
 	}
 	m.Reset()
-	if m.dir.len() != 0 {
-		t.Errorf("directory still tracks %d lines after Reset", m.dir.len())
+	if len(m.dir.index) != 0 {
+		t.Errorf("directory still tracks %d pages after Reset", len(m.dir.index))
 	}
-	if len(m.dir.free) != pages {
-		t.Errorf("Reset kept %d of the directory's %d pages for reuse", len(m.dir.free), pages)
+	if m.dir.used != 0 || len(m.dir.pages) != pages {
+		t.Errorf("Reset left %d pages live and kept %d of the directory's %d for reuse", m.dir.used, len(m.dir.pages), pages)
 	}
-	if e := m.dir.get(0x1000000 >> cfg.lineShift()); e.owner != -1 || e.sharerCount() != 0 {
+	if e, _ := m.dir.get(0x1000000 >> cfg.lineShift()); e.owner != -1 || e.sharerCount() != 0 {
 		t.Errorf("directory entry after Reset is not fresh: %+v", *e)
 	}
 	for i := range m.l1 {

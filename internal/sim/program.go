@@ -70,15 +70,6 @@ func NewProgram(n int) *Program {
 // Cores returns the number of streams.
 func (p *Program) Cores() int { return len(p.Streams) }
 
-// Ops returns the total operation count across all streams.
-func (p *Program) Ops() int {
-	n := 0
-	for _, s := range p.Streams {
-		n += len(s)
-	}
-	return n
-}
-
 // Validate checks the structural invariants the machine relies on:
 // matching barrier counts across cores and phase markers only on core 0.
 func (p *Program) Validate() error {
@@ -117,81 +108,98 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Builder constructs per-core streams with a fluent API.
+// Builder constructs per-core streams with a fluent API. Compile sizes
+// every stream exactly; NewBuilder's streams grow by append, for small
+// hand-built programs.
 type Builder struct {
-	prog *Program
+	prog  *Program
+	count []int // per-core op counts during Compile's counting pass, else nil
 }
 
 // NewBuilder returns a builder for an n-core program.
 func NewBuilder(n int) *Builder { return &Builder{prog: NewProgram(n)} }
 
+// Compile builds an n-core program by running emit twice: the first pass
+// only counts each core's ops, the second fills streams allocated at
+// exactly those counts, so no stream is ever copied to grow. emit must
+// issue the same ops on both passes; if it does not, Compile returns an
+// error rather than a program.
+func Compile(cores int, emit func(*Builder)) (*Program, error) {
+	b := &Builder{prog: NewProgram(cores), count: make([]int, cores)}
+	emit(b)
+	counts, phases := b.count, len(b.prog.Phases)
+	b.count = nil
+	for id, n := range counts {
+		if n > 0 {
+			b.prog.Streams[id] = make([]Op, 0, n)
+		}
+	}
+	emit(b)
+	for id, s := range b.prog.Streams {
+		if len(s) != counts[id] {
+			return nil, fmt.Errorf("sim: Compile's emit issued %d ops on core %d, then %d", counts[id], id, len(s))
+		}
+	}
+	if len(b.prog.Phases) != phases {
+		return nil, fmt.Errorf("sim: Compile's emit named %d phases, then %d", phases, len(b.prog.Phases))
+	}
+	return b.Build()
+}
+
+// add appends op to core id's stream, or only counts it during Compile's
+// counting pass.
+func (b *Builder) add(id int, op Op) {
+	if b.count != nil {
+		b.count[id]++
+		return
+	}
+	b.prog.Streams[id] = append(b.prog.Streams[id], op)
+}
+
 // Compute appends an ALU burst to core id's stream.
 func (b *Builder) Compute(id int, n uint64) *Builder {
 	if n > 0 {
-		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpCompute, Arg: n})
+		b.add(id, Op{Kind: OpCompute, Arg: n})
 	}
 	return b
 }
 
 // Load appends a load of addr to core id's stream.
 func (b *Builder) Load(id int, addr uint64) *Builder {
-	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpLoad, Arg: addr})
+	b.add(id, Op{Kind: OpLoad, Arg: addr})
 	return b
 }
 
 // Store appends a store to addr to core id's stream.
 func (b *Builder) Store(id int, addr uint64) *Builder {
-	b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpStore, Arg: addr})
+	b.add(id, Op{Kind: OpStore, Arg: addr})
 	return b
-}
-
-// grow reserves room for n more ops on core id's stream with geometric
-// slack, so a line-granular range burst (the dominant append pattern —
-// hundreds of ops per call) costs at most one growth instead of one per
-// doubling.
-func (b *Builder) grow(id int, n int) {
-	s := b.prog.Streams[id]
-	if cap(s)-len(s) >= n {
-		return
-	}
-	newCap := len(s) + n + len(s)/2
-	if newCap < 2*cap(s) {
-		newCap = 2 * cap(s)
-	}
-	if newCap < 256 {
-		newCap = 256
-	}
-	ns := make([]Op, len(s), newCap)
-	copy(ns, s)
-	b.prog.Streams[id] = ns
 }
 
 // LoadRange appends line-granular loads covering [addr, addr+bytes).
 func (b *Builder) LoadRange(id int, addr, bytes uint64, lineSz int) *Builder {
-	if bytes == 0 {
-		return b
-	}
-	line := uint64(lineSz)
-	first := addr &^ (line - 1)
-	last := (addr + bytes - 1) &^ (line - 1)
-	b.grow(id, int((last-first)/line)+1)
-	for a := first; a <= last; a += line {
-		b.Load(id, a)
-	}
-	return b
+	return b.lineRange(id, OpLoad, addr, bytes, lineSz)
 }
 
 // StoreRange appends line-granular stores covering [addr, addr+bytes).
 func (b *Builder) StoreRange(id int, addr, bytes uint64, lineSz int) *Builder {
+	return b.lineRange(id, OpStore, addr, bytes, lineSz)
+}
+
+// lineRange appends one kind op per line of [addr, addr+bytes).
+func (b *Builder) lineRange(id int, kind OpKind, addr, bytes uint64, lineSz int) *Builder {
 	if bytes == 0 {
 		return b
 	}
 	line := uint64(lineSz)
 	first := addr &^ (line - 1)
 	last := (addr + bytes - 1) &^ (line - 1)
-	b.grow(id, int((last-first)/line)+1)
+	if b.count != nil {
+		b.count[id] += int((last-first)/line) + 1
+		return b
+	}
 	for a := first; a <= last; a += line {
-		b.Store(id, a)
+		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: kind, Arg: a})
 	}
 	return b
 }
@@ -199,7 +207,7 @@ func (b *Builder) StoreRange(id int, addr, bytes uint64, lineSz int) *Builder {
 // Barrier appends a barrier to every core's stream.
 func (b *Builder) Barrier() *Builder {
 	for id := range b.prog.Streams {
-		b.prog.Streams[id] = append(b.prog.Streams[id], Op{Kind: OpBarrier})
+		b.add(id, Op{Kind: OpBarrier})
 	}
 	return b
 }
@@ -212,7 +220,7 @@ func (b *Builder) Phase(name string) *Builder {
 		i = len(b.prog.Phases)
 		b.prog.Phases = append(b.prog.Phases, name)
 	}
-	b.prog.Streams[0] = append(b.prog.Streams[0], Op{Kind: OpPhase, Arg: uint64(i)})
+	b.add(0, Op{Kind: OpPhase, Arg: uint64(i)})
 	return b
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"mergescale/internal/parallel"
@@ -144,6 +145,33 @@ func zipfTrace(seed uint64, n int, c Config) []uint32 {
 		out[i] = uint32(z.Uint64())
 	}
 	return out
+}
+
+// traceKey names a zipf trace by every input zipfTrace reads.
+type traceKey struct {
+	seed  uint64
+	n     int
+	alpha float64
+	keys  int
+}
+
+// traces memoizes the traces BuildProgram compiles from: every core count
+// and both modes of one (seed, n, config) replay the same trace, so a
+// run compiling many contend programs draws each trace once. Traces are
+// read-only once stored; memory is bounded by the distinct keys the
+// process uses. Concurrent misses may both draw — the traces are
+// identical, and either may win the store.
+var traces sync.Map // traceKey -> []uint32
+
+// sharedTrace returns zipfTrace(seed, n, c) from the traces memo. The
+// result is shared: callers must not write to it.
+func sharedTrace(seed uint64, n int, c Config) []uint32 {
+	k := traceKey{seed: seed, n: n, alpha: c.Alpha, keys: c.Keys}
+	if t, ok := traces.Load(k); ok {
+		return t.([]uint32)
+	}
+	t, _ := traces.LoadOrStore(k, zipfTrace(seed, n, c))
+	return t.([]uint32)
 }
 
 // roundBounds returns round r's half-open slice of an n-transaction trace
@@ -333,51 +361,50 @@ func (w *Contend) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (
 	if n < cfg.Cores {
 		return nil, fmt.Errorf("contend: scaled N=%d too small for %d cores", n, cfg.Cores)
 	}
-	keys := zipfTrace(ds.Spec.Seed, n, c)
+	keys := sharedTrace(ds.Spec.Seed, n, c)
 	const kb = 8 // bytes per counter
 	tableBytes := uint64(c.Keys) * kb
 
-	b := sim.NewBuilder(cfg.Cores)
-	b.Phase("init")
-	b.StoreRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
-	b.Compute(0, uint64(c.Keys))
-	b.Barrier()
-
-	for r := 0; r < c.Rounds; r++ {
-		lo, hi := roundBounds(n, c.Rounds, r)
-		b.Phase("parallel")
-		ranges := parallel.Split(hi-lo, cfg.Cores)
-		for id := 0; id < cfg.Cores; id++ {
-			base := uint64(workload.AddrCenters)
-			if c.Mode == Split {
-				base = workload.PartialBase(id)
-			}
-			for i := lo + ranges[id].Lo; i < lo+ranges[id].Hi; i++ {
-				addr := base + uint64(keys[i])*kb
-				b.Load(id, addr)
-				b.Compute(id, uint64(c.OpsPerTx))
-				b.Store(id, addr)
-			}
-		}
-		b.Barrier()
-
-		if c.Mode == Split {
-			b.Phase("reduction")
-			for id := 0; id < cfg.Cores; id++ {
-				b.LoadRange(0, workload.PartialBase(id), tableBytes, cfg.LineSz)
-				b.Compute(0, uint64(c.Keys))
-			}
-			b.StoreRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
-			b.Barrier()
-		}
-
-		b.Phase("serial")
-		b.LoadRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
+	return sim.Compile(cfg.Cores, func(b *sim.Builder) {
+		b.Phase("init")
+		b.StoreRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
 		b.Compute(0, uint64(c.Keys))
 		b.Barrier()
-	}
 
-	return b.Build()
+		for r := 0; r < c.Rounds; r++ {
+			lo, hi := roundBounds(n, c.Rounds, r)
+			b.Phase("parallel")
+			ranges := parallel.Split(hi-lo, cfg.Cores)
+			for id := 0; id < cfg.Cores; id++ {
+				base := uint64(workload.AddrCenters)
+				if c.Mode == Split {
+					base = workload.PartialBase(id)
+				}
+				for i := lo + ranges[id].Lo; i < lo+ranges[id].Hi; i++ {
+					addr := base + uint64(keys[i])*kb
+					b.Load(id, addr)
+					b.Compute(id, uint64(c.OpsPerTx))
+					b.Store(id, addr)
+				}
+			}
+			b.Barrier()
+
+			if c.Mode == Split {
+				b.Phase("reduction")
+				for id := 0; id < cfg.Cores; id++ {
+					b.LoadRange(0, workload.PartialBase(id), tableBytes, cfg.LineSz)
+					b.Compute(0, uint64(c.Keys))
+				}
+				b.StoreRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
+				b.Barrier()
+			}
+
+			b.Phase("serial")
+			b.LoadRange(0, workload.AddrCenters, tableBytes, cfg.LineSz)
+			b.Compute(0, uint64(c.Keys))
+			b.Barrier()
+		}
+	})
 }
 
 var _ workload.Workload = (*Contend)(nil)

@@ -590,58 +590,56 @@ func (w *Hop) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*sim
 		avgNbr = 4 * math.Pow(3, float64(d))
 	}
 
-	b := sim.NewBuilder(cfg.Cores)
-	b.Phase("init")
-	b.LoadRange(0, workload.AddrPoints, uint64(64*d*f8), cfg.LineSz)
-	b.Compute(0, uint64(n*d/8)) // sampled bounding box
-	b.Barrier()
-
 	ranges := parallel.Split(n, cfg.Cores)
 	cellBytes := uint64(cells * i4)
+	return sim.Compile(cfg.Cores, func(b *sim.Builder) {
+		b.Phase("init")
+		b.LoadRange(0, workload.AddrPoints, uint64(64*d*f8), cfg.LineSz)
+		b.Compute(0, uint64(n*d/8)) // sampled bounding box
+		b.Barrier()
 
-	// Parallel phase: binning + density + hop passes.
-	b.Phase("parallel")
-	for id := 0; id < cfg.Cores; id++ {
-		r := ranges[id]
-		pts := r.Hi - r.Lo
-		if pts <= 0 {
-			continue
+		// Parallel phase: binning + density + hop passes.
+		b.Phase("parallel")
+		for id := 0; id < cfg.Cores; id++ {
+			r := ranges[id]
+			pts := r.Hi - r.Lo
+			if pts <= 0 {
+				continue
+			}
+			chunkAddr := workload.AddrPoints + uint64(r.Lo*d*f8)
+			chunkBytes := uint64(pts * d * f8)
+			// Binning: stream the chunk, update private cell counts.
+			b.LoadRange(id, chunkAddr, chunkBytes, cfg.LineSz)
+			b.Compute(id, uint64(pts*(3*d+1)))
+			b.StoreRange(id, workload.PartialBase(id), cellBytes, cfg.LineSz)
+			// Density + hop: two more streaming passes with neighbor work.
+			b.LoadRange(id, chunkAddr, chunkBytes, cfg.LineSz)
+			b.Compute(id, uint64(float64(pts)*avgNbr*float64(3*d+2)))
+			b.LoadRange(id, chunkAddr, chunkBytes, cfg.LineSz)
+			b.Compute(id, uint64(float64(pts)*avgNbr*float64(3*d+3)))
 		}
-		chunkAddr := workload.AddrPoints + uint64(r.Lo*d*f8)
-		chunkBytes := uint64(pts * d * f8)
-		// Binning: stream the chunk, update private cell counts.
-		b.LoadRange(id, chunkAddr, chunkBytes, cfg.LineSz)
-		b.Compute(id, uint64(pts*(3*d+1)))
-		b.StoreRange(id, workload.PartialBase(id), cellBytes, cfg.LineSz)
-		// Density + hop: two more streaming passes with neighbor work.
-		b.LoadRange(id, chunkAddr, chunkBytes, cfg.LineSz)
-		b.Compute(id, uint64(float64(pts)*avgNbr*float64(3*d+2)))
-		b.LoadRange(id, chunkAddr, chunkBytes, cfg.LineSz)
-		b.Compute(id, uint64(float64(pts)*avgNbr*float64(3*d+3)))
-	}
-	b.Barrier()
+		b.Barrier()
 
-	// Merging phase: master gathers every thread's cell counts (remote
-	// modified lines — coherence traffic grows with cores) and each
-	// thread's boundary table, whose size itself grows with the core count
-	// (more chunk boundaries → more cross edges): the superlinear term.
-	b.Phase("reduction")
-	boundaryLines := uint64(cfg.Cores) * 4
-	for id := 0; id < cfg.Cores; id++ {
-		b.LoadRange(0, workload.PartialBase(id), cellBytes, cfg.LineSz)
-		b.Compute(0, uint64(cells))
-		b.LoadRange(0, workload.PartialBase(id)+cellBytes, boundaryLines*uint64(cfg.LineSz), cfg.LineSz)
-		b.Compute(0, boundaryLines*8)
-	}
-	b.Barrier()
+		// Merging phase: master gathers every thread's cell counts (remote
+		// modified lines — coherence traffic grows with cores) and each
+		// thread's boundary table, whose size itself grows with the core count
+		// (more chunk boundaries → more cross edges): the superlinear term.
+		b.Phase("reduction")
+		boundaryLines := uint64(cfg.Cores) * 4
+		for id := 0; id < cfg.Cores; id++ {
+			b.LoadRange(0, workload.PartialBase(id), cellBytes, cfg.LineSz)
+			b.Compute(0, uint64(cells))
+			b.LoadRange(0, workload.PartialBase(id)+cellBytes, boundaryLines*uint64(cfg.LineSz), cfg.LineSz)
+			b.Compute(0, boundaryLines*8)
+		}
+		b.Barrier()
 
-	// Serial section: prefix sum, placement scatter, relabel.
-	b.Phase("serial")
-	b.Compute(0, uint64(cells+3*n))
-	b.StoreRange(0, workload.AddrCenters, uint64(n*i4), cfg.LineSz)
-	b.Barrier()
-
-	return b.Build()
+		// Serial section: prefix sum, placement scatter, relabel.
+		b.Phase("serial")
+		b.Compute(0, uint64(cells+3*n))
+		b.StoreRange(0, workload.AddrCenters, uint64(n*i4), cfg.LineSz)
+		b.Barrier()
+	})
 }
 
 var _ workload.Workload = (*Hop)(nil)

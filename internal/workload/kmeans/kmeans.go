@@ -259,53 +259,52 @@ func (w *KMeans) BuildProgram(ds *datagen.Dataset, cfg sim.Config, scale int) (*
 	if n < cfg.Cores || n < k {
 		return nil, fmt.Errorf("kmeans: scaled N=%d too small for %d cores / K=%d", n, cfg.Cores, k)
 	}
-	b := sim.NewBuilder(cfg.Cores)
 	const f8 = 8 // bytes per float64
 	centerBytes := uint64(k * d * f8)
 	partialBytes := uint64(k * (d + 1) * f8)
-
-	// init: master reads the first K points and writes the centers.
-	b.Phase("init")
-	b.LoadRange(0, workload.AddrPoints, centerBytes, cfg.LineSz)
-	b.Compute(0, uint64(k*d))
-	b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
-	b.Barrier()
-
 	ranges := parallel.Split(n, cfg.Cores)
-	for iter := 0; iter < w.Cfg.Iters; iter++ {
-		b.Phase("parallel")
-		for id := 0; id < cfg.Cores; id++ {
-			r := ranges[id]
-			pts := r.Hi - r.Lo
-			if pts <= 0 {
-				continue
-			}
-			// Read the shared centers, stream this core's point chunk,
-			// accumulate into the private partial buffer.
-			b.LoadRange(id, workload.AddrCenters, centerBytes, cfg.LineSz)
-			b.LoadRange(id, workload.AddrPoints+uint64(r.Lo*d*f8), uint64(pts*d*f8), cfg.LineSz)
-			b.Compute(id, uint64(float64(pts)*opsPerPoint(k, d)))
-			b.StoreRange(id, workload.PartialBase(id), partialBytes, cfg.LineSz)
-		}
-		b.Barrier()
-
-		// merging phase: master gathers every thread's partials (coherence
-		// transfers that grow with the core count), accumulates, and
-		// publishes the new centers.
-		b.Phase("reduction")
-		for id := 0; id < cfg.Cores; id++ {
-			b.LoadRange(0, workload.PartialBase(id), partialBytes, cfg.LineSz)
-			b.Compute(0, uint64(k*(d+1)))
-		}
-		b.Compute(0, uint64(2*k*d))
+	return sim.Compile(cfg.Cores, func(b *sim.Builder) {
+		// init: master reads the first K points and writes the centers.
+		b.Phase("init")
+		b.LoadRange(0, workload.AddrPoints, centerBytes, cfg.LineSz)
+		b.Compute(0, uint64(k*d))
 		b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
 		b.Barrier()
 
-		b.Phase("serial")
-		b.Compute(0, uint64(3*k*d))
-		b.Barrier()
-	}
-	return b.Build()
+		for iter := 0; iter < w.Cfg.Iters; iter++ {
+			b.Phase("parallel")
+			for id := 0; id < cfg.Cores; id++ {
+				r := ranges[id]
+				pts := r.Hi - r.Lo
+				if pts <= 0 {
+					continue
+				}
+				// Read the shared centers, stream this core's point chunk,
+				// accumulate into the private partial buffer.
+				b.LoadRange(id, workload.AddrCenters, centerBytes, cfg.LineSz)
+				b.LoadRange(id, workload.AddrPoints+uint64(r.Lo*d*f8), uint64(pts*d*f8), cfg.LineSz)
+				b.Compute(id, uint64(float64(pts)*opsPerPoint(k, d)))
+				b.StoreRange(id, workload.PartialBase(id), partialBytes, cfg.LineSz)
+			}
+			b.Barrier()
+
+			// merging phase: master gathers every thread's partials (coherence
+			// transfers that grow with the core count), accumulates, and
+			// publishes the new centers.
+			b.Phase("reduction")
+			for id := 0; id < cfg.Cores; id++ {
+				b.LoadRange(0, workload.PartialBase(id), partialBytes, cfg.LineSz)
+				b.Compute(0, uint64(k*(d+1)))
+			}
+			b.Compute(0, uint64(2*k*d))
+			b.StoreRange(0, workload.AddrCenters, centerBytes, cfg.LineSz)
+			b.Barrier()
+
+			b.Phase("serial")
+			b.Compute(0, uint64(3*k*d))
+			b.Barrier()
+		}
+	})
 }
 
 var _ workload.Workload = (*KMeans)(nil)

@@ -43,8 +43,9 @@ echo "== allocation budget (without -race: its instrumentation allocates) =="
 # The -race suite above skips the AllocsPerRun assertions; this pass arms
 # them, failing CI if the steady-state access loop ever allocates again.
 # The pattern covers the per-access, directory and whole-Run gates (zero
-# allocations each), and hop's pooled-scratch gate.
-go test -run 'SteadyStateZeroAllocs' -count=1 ./internal/sim
+# allocations each), Compile's exact-size gate (one backing array per
+# non-empty stream plus a constant), and hop's pooled-scratch gate.
+go test -run 'SteadyStateZeroAllocs|TestCompileAllocs' -count=1 ./internal/sim
 go test -run 'TestWarmRunAllocatesNoScratch' -count=1 ./internal/workload/hop
 
 echo "== sweep first-row-before-last-point gate =="
